@@ -35,7 +35,6 @@ from .render import (
     spoly_latex,
     tpoly_latex,
     tpoly_text,
-    weight_text,
 )
 from .specialize import csm, diagonalize
 from .suite import run_all

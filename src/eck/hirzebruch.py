@@ -29,7 +29,6 @@ from typing import Iterable, Mapping
 
 from .algebra import (
     Character,
-    DivisionByZero,
     RatExpr,
     SparsePoly,
     hfactor_expr,
@@ -74,13 +73,18 @@ def smooth_local(weights: Iterable[Character], arity: int) -> RatExpr:
 
 def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     """Evaluate a recipe ``sum c * y^k * prod(h(+/-1))`` to a RatExpr."""
+    terms = tuple(terms)
     out = RatExpr.zero(arity)
     for c, k, factors in terms:
         part = RatExpr(SparsePoly.y_power(arity, k, c))
         for w, minus_one in factors:
             part = part * (hfactor_minus_one(w) if minus_one else hfactor(w))
         out = out + part
-    return out.reduced()
+    # A single term is already reduced: the lowest y-coefficient of its
+    # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
+    # c T^v, and a factor 1 - T^w free of y dividing the numerator would
+    # divide that coefficient too.
+    return out.reduced() if len(terms) > 1 else out
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import Character, RatExpr, SparsePoly, _norm
-from .hirzebruch import affine_class
+from .hirzebruch import affine_class, ccq_terms
 from .torus import GeometryConfig, ambient_weights
 
 Coeff = int | Fraction
@@ -290,7 +290,7 @@ def _ccq_spoly_terms(geo: GeometryConfig, weights: tuple[Character, ...]) -> dic
     lift each summand by the S-variables of its missing coordinates."""
     width = 1 + len(weights)
     total: dict = {}
-    for c, ypow, factors in affine_class("CCQ", geo.n).recipes:
+    for c, ypow, factors in ccq_terms(geo, tuple(range(1, geo.m + 1)), geo.odd):
         scalar = c * (-1) ** ypow  # (-y)^ypow = (1+delta)^ypow times this sign
         part = _dict_scale(_one_plus_delta_power(width, ypow), scalar)
         used: list[Character] = []

@@ -7,8 +7,7 @@ here is presentation only: no arithmetic, no normalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .algebra import Character, RatExpr, SparsePoly
 

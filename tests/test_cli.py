@@ -146,3 +146,15 @@ def test_table_json_envelope(capsys):
     assert len(rows) == 13
     assert [r["number"] for r in rows] == list(range(1, 14))
     assert sum(1 for r in rows if not r["passed"]) == 1
+
+
+def test_table_runs_are_byte_identical(capsys):
+    """Without --timings no wall-clock figure reaches the table, criterion 1's
+    60 s budget included."""
+    for fmt in ("text", "json"):
+        outputs = []
+        for _ in range(2):
+            assert run(["table", "--max-n", "4", "--format", fmt]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], fmt
+        assert " ms" not in outputs[0]
