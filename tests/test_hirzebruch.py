@@ -7,6 +7,8 @@ import pytest
 
 from eck.algebra import Character, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
 from eck.hirzebruch import (
+    AFFINE_KINDS,
+    PROJECTIVE_KINDS,
     ZeroWeight,
     affine_class,
     cone_pushforward,
@@ -251,6 +253,18 @@ def _zero_projective(n: int):
         values={i: RatExpr.zero(geo.arity) for i in geo.indices},
         recipes={i: () for i in geo.indices},
     )
+
+
+def test_class_values_are_reduced():
+    """Single-term recipes skip reduced(); every stored value must still be
+    fully reduced, so reducing again changes nothing."""
+    for n in range(2, 7):
+        for kind in PROJECTIVE_KINDS:
+            for v in projective_class(kind, n).values.values():
+                assert str(v.reduced()) == str(v), (kind, n)
+        for kind in AFFINE_KINDS:
+            v = affine_class(kind, n).at_origin
+            assert str(v.reduced()) == str(v), (kind, n)
 
 
 def test_pushforward_of_zero():

@@ -167,34 +167,30 @@ def test_integration_must_clear_denominators():
         integrate_projective(broken)
 
 
-def _with_values(cls: LocalClass, space: str, values: dict) -> LocalClass:
-    return LocalClass(geometry=cls.geometry, space=space, n=cls.n, values=values, recipes=cls.recipes)
+def _full_torus_sum(cls: LocalClass) -> RatExpr:
+    """The fixed-point sum over a common denominator in all torus variables."""
+    return sum(cls.values.values(), RatExpr.zero(cls.geometry.arity)).reduced()
 
 
 def test_integration_keeps_full_torus_strength():
     """A P_5 class whose p_1 value gains T1^2 - T2 does not integrate.
 
-    The full-torus fold (before the Kronecker map) raises here too, because
-    the sum keeps T1^2 - T2.  The one-parameter line t_i -> 2^(i-1) s sends
-    T1^2 - T2 to 0 and returns 1 - y + y^2 - y^3 + y^4, the genus of P^4,
-    with no error; the injective map keeps the check exact.
+    The full-torus fold rejects it as well: its sum keeps T1^2 - T2.  The
+    one-parameter line t_i -> 2^(i-1) s sends T1^2 - T2 to 0 and returns
+    1 - y + y^2 - y^3 + y^4, the genus of P^4, with no error; the injective
+    map keeps the check exact.
     """
     base = projective_class("P", 5)
     extra = SparsePoly.monomial(Character((0, 2, 0))) - SparsePoly.monomial(Character((0, 0, 1)))
-    broken = _with_values(base, "broken", {i: v + extra if i == 1 else v for i, v in base.values.items()})
+    values = {i: v + extra if i == 1 else v for i, v in base.values.items()}
+    broken = LocalClass(geometry=base.geometry, space="broken", n=5, values=values, recipes=base.recipes)
     with pytest.raises(ResidualTDependence, match="broken_5"):
         integrate_projective(broken)
+    assert not _full_torus_sum(broken).num.is_y_only()
 
-    line = [Character((0,)), Character((1,)), Character((2,))]  # t -> 1, t_i -> s^(2^(i-1))
+    line = [Character((0,)), Character((1,)), Character((2,))]  # t -> 0, t_i -> 2^(i-1) s
     restricted = sum((v.apply_map(line) for v in broken.values.values()), RatExpr.zero(1)).reduced()
     assert not restricted.den and restricted.num.y_coefficients() == {p: (-1) ** p for p in range(5)}
-
-
-def _full_torus_fold(cls: LocalClass) -> SparsePoly:
-    """The fixed-point sum over a common denominator in all torus variables."""
-    total = sum(cls.values.values(), RatExpr.zero(cls.geometry.arity)).reduced()
-    assert not total.den and total.num.is_y_only()
-    return total.num
 
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
@@ -202,8 +198,8 @@ def test_integration_matches_full_torus_fold(kind):
     for n in range(1 if kind == "P" else 2, 8):
         cls = projective_class(kind, n)
         got = integrate_projective(cls)
-        want = _full_torus_fold(cls)
-        assert got.terms == want.terms and str(got) == str(want), (kind, n)
+        want = _full_torus_sum(cls)
+        assert not want.den and got.terms == want.num.terms and str(got) == str(want.num), (kind, n)
 
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
