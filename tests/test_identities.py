@@ -5,7 +5,7 @@ import pytest
 from genus_route import genus_closed_form
 
 from eck.algebra import Character, RatExpr, SparsePoly
-from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, affine_class, projective_class
+from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, projective_class
 from eck.identities import (
     FORMULAS,
     ResidualTDependence,
