@@ -397,7 +397,9 @@ class SparsePoly:
 
         Restricting the polynomial to each line ``rep + Z*w`` gives a
         univariate Laurent polynomial in ``s = T^w``; dividing by ``(1 - s)``
-        is a prefix-sum whose total must vanish.
+        is a prefix-sum whose total must vanish.  Lines are grouped on plain
+        exponent tuples, and monomials are built only for the quotient of a
+        division that succeeds.
 
         >>> T = SparsePoly.monomial(Character((1,)))
         >>> (1 - T**3).div_by_one_minus(Character((1,)))
@@ -407,23 +409,24 @@ class SparsePoly:
             raise DivisionByZero("division by 1 - T^0 = 0")
         if self.is_zero:
             return self
-        j = next(i for i, a in enumerate(w.coeffs) if a)
-        wj = w.coeffs[j]
+        wc = w.coeffs
+        j = next(i for i, a in enumerate(wc) if a)
+        wj = wc[j]
         lines: dict[tuple, dict[int, Coeff]] = {}
-        for m, c in self.terms.items():
-            k = m.char.coeffs[j] // wj
-            rep = m.char - w.scaled(k)
-            lines.setdefault((m.ypow, rep), {})[k] = c
+        for (char, ypow), c in self.terms.items():
+            e = char.coeffs
+            k = e[j] // wj
+            lines.setdefault((ypow, tuple(a - k * b for a, b in zip(e, wc))), {})[k] = c
+        for (ypow, rep), coeffs in lines.items():
+            if sum(coeffs.values()) != 0:
+                raise NotDivisible(f"remainder on line {rep} (y^{ypow})")
         out: dict = {}
         for (ypow, rep), coeffs in lines.items():
-            lo, hi = min(coeffs), max(coeffs)
             running: Coeff = 0
-            for k in range(lo, hi):
+            for k in range(min(coeffs), max(coeffs)):
                 running += coeffs.get(k, 0)
                 if running:
-                    out[Monomial(rep + w.scaled(k), ypow)] = _norm(running)
-            if running + coeffs[hi] != 0:
-                raise NotDivisible(f"remainder on line {rep.coeffs} (y^{ypow})")
+                    out[Monomial(Character(tuple(a + k * b for a, b in zip(rep, wc))), ypow)] = _norm(running)
         return SparsePoly(self.arity, out)
 
     def div_exact(self, d: SparsePoly) -> SparsePoly:
@@ -523,7 +526,7 @@ class SparsePoly:
     __repr__ = __str__
 
 
-# -- sampling for the randomized equality prefilter ------------------------
+# -- sample points for mismatch witnesses -----------------------------------
 
 
 def _primes(count: int) -> list[int]:
@@ -550,6 +553,14 @@ def sample_points(arity: int, seed: int, rounds: int = 3) -> list[tuple[list[Fra
         yval = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         points.append((tvals, yval))
     return points
+
+
+def _nonzero_at_one(p: SparsePoly) -> bool:
+    """True when ``p(T = 1, y)`` is a nonzero polynomial in y."""
+    at_one: dict[int, Coeff] = {}
+    for (_, ypow), c in p.terms.items():
+        at_one[ypow] = at_one.get(ypow, 0) + c
+    return any(at_one.values())
 
 
 def _multiset(chars: Iterable[Character]) -> dict[Character, int]:
@@ -686,21 +697,42 @@ class RatExpr:
     def reduced(self) -> RatExpr:
         """Greedily cancel denominator factors dividing the numerator exactly.
 
+        Each pass tries every distinct factor once, in character order, and
+        passes repeat until one cancels nothing.  Two rules skip attempts that
+        cannot succeed, so the same divisions succeed in the same order as
+        without them and the result is identical:
+
+        * every factor ``1 - T^w`` vanishes at ``T = 1``, so when the
+          numerator at ``T = 1`` is a nonzero polynomial in y, nothing more
+          can cancel;
+        * a factor that failed once is never retried: the numerator only
+          shrinks by exact quotients, and if ``N = (1 - T^v) N'`` with
+          ``1 - T^w`` dividing ``N'``, it would divide ``N`` too.
+
+        The pass order matters: with ``den = [u, u, 2u]`` and
+        ``N = (1 - T^u)(1 - T^{2u})`` the passes end at ``1 / (1 - T^u)``,
+        where dividing by ``u`` first as often as possible would end at
+        ``(1 + T^u) / (1 - T^{2u})``.
+
         Idempotent; a zero numerator cancels every factor (0 = 0 * d).
         """
         if self.num.is_zero:
             return RatExpr(self.num, ())
         num = self.num
         den = list(self.den)
-        progress = True
+        failed: set[Character] = set()
+        progress = not _nonzero_at_one(num)
         while progress:
             progress = False
-            for w in sorted(set(den), key=lambda w: w.coeffs):
+            for w in sorted(set(den) - failed, key=lambda w: w.coeffs):
                 try:
                     num = num.div_by_one_minus(w)
                 except NotDivisible:
+                    failed.add(w)
                     continue
                 den.remove(w)
+                if _nonzero_at_one(num):
+                    return RatExpr(num, tuple(den))
                 progress = True
         return RatExpr(num, tuple(den))
 
@@ -716,19 +748,17 @@ class RatExpr:
             total /= 1 - v
         return _norm(total)
 
-    def equivalent(self, other, seed: int = 0, rounds: int = 3) -> bool:
-        """Decide equality as rational functions.
+    def equivalent(self, other) -> bool:
+        """Decide equality as rational functions, exactly.
 
-        A randomized-evaluation prefilter at deterministic rational points may
-        reject early; acceptance always goes through the cross-multiplied
-        polynomial comparison.
+        Both numerators are cross-multiplied by the denominator factors the
+        other side has and they lack, and the products are compared term by
+        term; nothing is evaluated.  To locate a mismatch, call
+        :meth:`witness` after this returns False.
         """
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} != {other.arity}")
-        for tvals, yval in sample_points(self.arity, seed, rounds):
-            if self.evaluate(tvals, yval) != other.evaluate(tvals, yval):
-                return False
         mine, theirs = _multiset(self.den), _multiset(other.den)
         left = self.num
         right = other.num
@@ -739,6 +769,21 @@ class RatExpr:
             for _ in range(k - min(k, theirs.get(w, 0))):
                 right = right.mul_one_minus(w)
         return left.terms == right.terms
+
+    def witness(self, other, seed: int = 0) -> str:
+        """Where two expressions that are not :meth:`equivalent` differ, as
+        one line: the first of the :func:`sample_points` drawn from ``seed``
+        that separates them, with both values, as in
+        ``differs at T=(2/3, 5/7), y=-3/4: 1/2 != 3/5``.  When every seeded
+        point agrees, which proves nothing about equality, the line is
+        ``differs; no witness among the seeded points``.
+        """
+        other = self._coerce(other)
+        for tvals, yval in sample_points(self.arity, seed):
+            mine, theirs = self.evaluate(tvals, yval), other.evaluate(tvals, yval)
+            if mine != theirs:
+                return f"differs at T=({', '.join(map(str, tvals))}), y={yval}: {mine} != {theirs}"
+        return "differs; no witness among the seeded points"
 
     # -- substitutions ---------------------------------------------------
 

@@ -2,7 +2,10 @@
 certificates and tables in text, LaTeX, or JSON.
 
 Exit codes: 0 when every requested check passes, 1 when a verification or
-certificate fails, 2 on usage errors (one-line diagnostic on stderr).
+certificate fails, 2 on usage errors (one-line diagnostic on stderr).  An
+exact-arithmetic invariant that breaks inside the library (a division that
+should be exact, a fixed-point sum that keeps T) prints one
+``internal error: <Type>: <message>`` line on stderr and exits 1.
 
 JSON output always has the top-level keys ``command``, ``params``,
 ``results`` and ``version``; results are ordered by (n, k).  Identical
@@ -21,7 +24,15 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from . import __version__
+from . import (
+    DenominatorVanishes,
+    NonvanishingNegativeUPart,
+    NotDivisible,
+    ResidualTDependence,
+    StructuralRewriteFailed,
+    ZeroClass,
+    __version__,
+)
 from .hirzebruch import AFFINE_KINDS, PROJECTIVE_KINDS, affine_class, projective_class
 from .identities import FORMULAS, verify
 from .positivity import certify
@@ -38,6 +49,16 @@ from .render import (
 )
 from .specialize import csm, diagonalize
 from .suite import run_all
+
+#: broken library invariants, reported as one ``internal error:`` line
+_INTERNAL_ERRORS = (
+    NotDivisible,
+    ResidualTDependence,
+    DenominatorVanishes,
+    StructuralRewriteFailed,
+    NonvanishingNegativeUPart,
+    ZeroClass,
+)
 
 
 class UsageError(Exception):
@@ -60,6 +81,7 @@ class RunConfig:
     formula: str | None = None
     k: int | None = None
     space: str | None = None
+    order: int | None = None
     format: str = "text"
     max_n: int = 8
     seed: int = 0
@@ -107,7 +129,7 @@ def _build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         p.add_argument("--out", metavar="FILE", default=None, help="write the report to FILE instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for the randomized equality prefilter")
+        p.add_argument("--seed", type=int, default=0, help="seed for the points that witness a failed comparison")
 
     p = sub.add_parser("compute", help="localized class of one space")
     p.add_argument("--kind", required=True, choices=PROJECTIVE_KINDS + AFFINE_KINDS)
@@ -244,7 +266,7 @@ def _cmd_certify(args, config: RunConfig) -> tuple[list[str], list, bool]:
                 key, coeff = cert.witness
                 parts.append(f"negative coefficient {coeff} at exponents {key}")
             if not cert.roundtrip_ok:
-                parts.append("round trip failed")
+                parts.append(f"round trip failed: back-substitution {cert.roundtrip_note}")
             msg = f"{config.kind}_{n}: " + "; ".join(parts)
         if config.format == "latex":
             body = spoly_latex(cert.spoly) if good and n == config.n_lo == config.n_hi else msg
@@ -259,7 +281,7 @@ def _cmd_csm(args, config: RunConfig) -> tuple[list[str], list, bool]:
     single = config.n_lo == config.n_hi
     for n in range(config.n_lo, config.n_hi + 1):
         try:
-            coeffs = csm(diagonalize(affine_class(config.space, n)), n, order=args.order)
+            coeffs = csm(diagonalize(affine_class(config.space, n)), n, order=config.order)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         if config.format == "text":
@@ -337,6 +359,7 @@ def _config_from(args) -> RunConfig:
         formula=getattr(args, "formula", None),
         k=getattr(args, "k", None),
         space=getattr(args, "space", None),
+        order=getattr(args, "order", None),
         format=args.format,
         max_n=max_n,
         seed=args.seed,
@@ -355,6 +378,9 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     if config.format == "json":
         payload = {

@@ -163,7 +163,8 @@ class Certificate:
 
     ``witness`` is the lexicographically first negative term (exponent
     vector, coefficient) when the verdict fails; ``roundtrip_ok`` records
-    whether back-substitution reproduced the reference class exactly.
+    whether back-substitution reproduced the reference class exactly, and
+    ``roundtrip_note`` where the two first differ when it did not.
     """
 
     subject: tuple[str, int]
@@ -171,6 +172,7 @@ class Certificate:
     nonnegative: bool
     witness: tuple[SKey, Coeff] | None
     roundtrip_ok: bool
+    roundtrip_note: str = ""
 
 
 def _one(width: int) -> dict:
@@ -360,20 +362,25 @@ def check_nonnegative(
 
     The verdict is purely syntactic (no numeric evidence); when ``original``
     is given, ``roundtrip_ok`` is the exact rational-function comparison of
-    the back-substituted polynomial against it.
+    the back-substituted polynomial against it; when that fails,
+    ``roundtrip_note`` names the first point drawn from ``seed`` where the
+    two differ.
     """
     negatives = spoly.negative_terms()
     witness = negatives[0] if negatives else None
+    roundtrip_ok, note = True, ""
     if original is not None:
-        roundtrip_ok = spoly.to_ratexpr(original.arity).equivalent(original, seed=seed)
-    else:
-        roundtrip_ok = True
+        back = spoly.to_ratexpr(original.arity)
+        roundtrip_ok = back.equivalent(original)
+        if not roundtrip_ok:
+            note = back.witness(original, seed)
     return Certificate(
         subject=subject,
         spoly=spoly,
         nonnegative=not negatives,
         witness=witness,
         roundtrip_ok=roundtrip_ok,
+        roundtrip_note=note,
     )
 
 

@@ -354,4 +354,6 @@ def certificate_dict(cert) -> dict:
     if cert.witness is not None:
         key, c = cert.witness
         out["witness"] = {"exponents": list(key), "coefficient": str(c)}
+    if cert.roundtrip_note:
+        out["roundtrip_note"] = cert.roundtrip_note
     return out

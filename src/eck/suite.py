@@ -258,7 +258,7 @@ def _prop_reduce_idempotent(rng: random.Random) -> tuple[bool, str]:
         rr = r.reduced()
         if (rr.num, rr.den) != (r.num, r.den):
             return False, "reduce is not idempotent"
-        if not r.equivalent(e, seed=rng.randint(0, 10**6)):
+        if not r.equivalent(e):
             return False, "reduce changed the rational function"
     return True, "15 random expressions: idempotent and value-preserving"
 

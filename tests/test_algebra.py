@@ -9,6 +9,8 @@ with the kernel.
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from eck.algebra import (
@@ -20,9 +22,18 @@ from eck.algebra import (
     NotDivisible,
     RatExpr,
     SparsePoly,
+    _norm,
     hfactor_expr,
     hfactor_minus_one_expr,
     sample_points,
+)
+from eck.hirzebruch import (
+    AFFINE_KINDS,
+    PROJECTIVE_KINDS,
+    affine_class,
+    hfactor,
+    hfactor_minus_one,
+    projective_class,
 )
 
 
@@ -349,4 +360,187 @@ def test_reduce_preserves_equality_randomized():
         r = e.reduced()
         rr = r.reduced()
         assert (rr.num, rr.den) == (r.num, r.den)
-        assert r.equivalent(e, seed=rng.randint(0, 10**6))
+        assert r.equivalent(e)
+
+
+# -- exactness of the cheaper exact primitives -----------------------------
+#
+# The two copies below are the division and the reduction loop as they were
+# before lines were grouped on tuple keys and before reduced() skipped
+# attempts that cannot succeed; the new code must agree with them exactly.
+
+
+def _div_by_one_minus_before(p: SparsePoly, w: Character) -> SparsePoly:
+    j = next(i for i, a in enumerate(w.coeffs) if a)
+    wj = w.coeffs[j]
+    lines: dict = {}
+    for m, c in p.terms.items():
+        k = m.char.coeffs[j] // wj
+        rep = m.char - w.scaled(k)
+        lines.setdefault((m.ypow, rep), {})[k] = c
+    out: dict = {}
+    for (ypow, rep), coeffs in lines.items():
+        lo, hi = min(coeffs), max(coeffs)
+        running = 0
+        for k in range(lo, hi):
+            running += coeffs.get(k, 0)
+            if running:
+                out[Monomial(rep + w.scaled(k), ypow)] = _norm(running)
+        if running + coeffs[hi] != 0:
+            raise NotDivisible(f"remainder on line {rep.coeffs} (y^{ypow})")
+    return SparsePoly(p.arity, out)
+
+
+def _greedy_reduced(e: RatExpr) -> RatExpr:
+    if e.num.is_zero:
+        return RatExpr(e.num, ())
+    num = e.num
+    den = list(e.den)
+    progress = True
+    while progress:
+        progress = False
+        for w in sorted(set(den), key=lambda w: w.coeffs):
+            try:
+                num = _div_by_one_minus_before(num, w)
+            except NotDivisible:
+                continue
+            den.remove(w)
+            progress = True
+    return RatExpr(num, tuple(den))
+
+
+def _unreduced_sum(arity: int, terms) -> RatExpr:
+    """A class recipe summed over the common denominator, not reduced."""
+    out = RatExpr.zero(arity)
+    for c, k, factors in terms:
+        part = RatExpr(SparsePoly.y_power(arity, k, c))
+        for w, minus_one in factors:
+            part = part * (hfactor_minus_one(w) if minus_one else hfactor(w))
+        out = out + part
+    return out
+
+
+def _same(a: RatExpr, b: RatExpr) -> bool:
+    """Identical values, term order of the numerator included."""
+    return list(a.num.terms.items()) == list(b.num.terms.items()) and a.den == b.den
+
+
+def test_reduced_matches_greedy_loop_on_class_sums():
+    checked = 0
+    for n in range(0, 7):
+        recipes = []
+        for kind in PROJECTIVE_KINDS + AFFINE_KINDS:
+            try:
+                cls = projective_class(kind, n) if kind in PROJECTIVE_KINDS else affine_class(kind, n)
+            except ValueError:
+                continue
+            arity = cls.geometry.arity
+            recipes += [(arity, r) for r in (cls.recipes.values() if cls.is_projective else [cls.recipes])]
+        for arity, terms in recipes:
+            if len(terms) < 2:
+                continue
+            e = _unreduced_sum(arity, terms)
+            assert _same(e.reduced(), _greedy_reduced(e)), (n, terms)
+            checked += 1
+    assert checked > 50
+
+
+def test_reduced_keeps_the_pass_order():
+    u = Character((1,))
+    T = mono(1)
+    e = RatExpr((1 - T) * (1 - T**2), (u, u, u.scaled(2)))
+    r = e.reduced()
+    assert str(r) == "1 / (1 - T)"
+    assert _same(r, _greedy_reduced(e))
+    # dividing by u as often as possible first would stop elsewhere
+    by_u_first = RatExpr(e.num.div_by_one_minus(u).div_by_one_minus(u), (u.scaled(2),))
+    assert str(by_u_first) == "(1 + T) / (1 - T^2)" and by_u_first.equivalent(r)
+
+
+def test_reduced_gives_up_when_the_numerator_survives_t_equal_one():
+    t = Character((1, 0))
+    e = RatExpr(1 + yvar(2) * mono(1, 0), (t, Character((0, 1)), Character((1, 1))))
+    r = e.reduced()
+    assert _same(r, e) and _same(r, _greedy_reduced(e))
+
+
+_exponent = st.integers(-3, 3)
+
+
+@st.composite
+def _polys(draw, arity: int):
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[_exponent] * arity),
+                st.integers(0, 2),
+                st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            ),
+            max_size=8,
+        )
+    )
+    return SparsePoly.from_terms(arity, [(Monomial(Character(e), k), c) for e, k, c in items])
+
+
+@st.composite
+def _poly_and_weight(draw):
+    arity = draw(st.integers(1, 3))
+    w = draw(st.tuples(*[_exponent] * arity).filter(any))
+    return draw(_polys(arity)), Character(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_and_weight())
+def test_div_by_one_minus_undoes_mul_one_minus(pw):
+    p, w = pw
+    assert p.mul_one_minus(w).div_by_one_minus(w) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_weight(), st.booleans())
+def test_div_by_one_minus_agrees_with_the_line_by_line_division(pw, multiple):
+    """Same quotient, term order included, on multiples; on anything else
+    the same NotDivisible message."""
+    p, w = pw
+    if multiple:
+        p = p.mul_one_minus(w)
+    try:
+        want = _div_by_one_minus_before(p, w)
+    except NotDivisible as exc:
+        with pytest.raises(NotDivisible) as got:
+            p.div_by_one_minus(w)
+        assert str(got.value) == str(exc)
+    else:
+        got = p.div_by_one_minus(w)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_not_divisible_message_is_unchanged():
+    with pytest.raises(NotDivisible, match=r"^remainder on line \(0,\) \(y\^0\)$"):
+        (1 - mono(1)).div_by_one_minus(Character((2,)))
+
+
+def test_equivalent_does_not_depend_on_the_sample_points():
+    """The difference vanishes at every seeded point (it is a multiple of
+    (y - y1)(y - y2)(y - y3) for the three seeded y values), yet the two sides
+    differ, and only the exact comparison can tell."""
+    seed = 0
+    t = Character((1, -1))
+    a = RatExpr(1 + yvar(2) * mono(1, -1), (t,))
+    gap = SparsePoly.one(2)
+    for _, yval in sample_points(2, seed):
+        gap = gap * (yvar(2) - yval)
+    b = a + RatExpr(gap * mono(0, 1), (t,))
+    assert not a.equivalent(b)
+    assert a.witness(b, seed) == "differs; no witness among the seeded points"
+
+
+def test_witness_reports_the_first_separating_point():
+    t = Character((1,))
+    a = hfactor_expr(t)
+    b = hfactor_minus_one_expr(t)
+    assert not a.equivalent(b)
+    tvals, yval = sample_points(1, 7)[0]
+    mine, theirs = a.evaluate(tvals, yval), b.evaluate(tvals, yval)
+    assert mine != theirs
+    assert a.witness(b, seed=7) == f"differs at T=({tvals[0]}), y={yval}: {mine} != {theirs}"

@@ -5,7 +5,12 @@ import json
 
 import pytest
 
+from eck import cli
+from eck.algebra import DenominatorVanishes, NotDivisible
 from eck.cli import run
+from eck.identities import ResidualTDependence
+from eck.positivity import StructuralRewriteFailed
+from eck.specialize import NonvanishingNegativeUPart, ZeroClass
 
 
 def _json_out(capsys):
@@ -158,3 +163,40 @@ def test_table_runs_are_byte_identical(capsys):
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1], fmt
         assert " ms" not in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NotDivisible,
+        ResidualTDependence,
+        DenominatorVanishes,
+        StructuralRewriteFailed,
+        NonvanishingNegativeUPart,
+        ZeroClass,
+    ],
+)
+def test_internal_errors_are_one_line(capsys, monkeypatch, error):
+    def broken(args, config):
+        raise error("remainder on line (0,) (y^0)")
+
+    monkeypatch.setitem(cli._COMMANDS, "compute", broken)
+    assert run(["compute", "--kind", "P", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error.__name__}: remainder on line (0,) (y^0)\n"
+
+
+def test_csm_order_round_trips_through_params(capsys):
+    assert run(["csm", "--n", "4", "--order", "12", "--format", "json"]) == 0
+    doc, first = _json_out(capsys)
+    params = doc["params"]
+    assert params["order"] == 12
+    argv = [params["command"], "--n", f"{params['n_lo']}..{params['n_hi']}", "--space", params["space"]]
+    argv += ["--order", str(params["order"]), "--format", params["format"], "--seed", str(params["seed"])]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+
+    assert run(["csm", "--n", "4", "--format", "json"]) == 0
+    doc, _ = _json_out(capsys)
+    assert "order" not in doc["params"]

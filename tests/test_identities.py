@@ -1,8 +1,12 @@
 """Formula verification reports and fixed-point integration to genus
 polynomials, with frozen small-case values."""
 
+import re
+
 import pytest
 from genus_route import genus_closed_form
+
+from eck import identities
 
 from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, projective_class
@@ -213,3 +217,20 @@ def test_chi_guards():
         chi_y("CCQ", 4)  # open cones have no finite integral here
     with pytest.raises(ValueError):
         chi_y("P", 0)
+
+
+def test_failed_comparison_names_a_witness(monkeypatch):
+    """A broken right-hand side (2y in place of y) fails con at the origin; the
+    note gives the first seeded point where the sides differ and both values."""
+    monkeypatch.setattr(identities, "_y", lambda arity, power=1: RatExpr.from_poly(SparsePoly.y_power(arity, power, 2)))
+    report = verify("con", 4, seed=3)
+    assert not report.verified and report.per_point == (("origin", False),)
+    match = re.fullmatch(r"origin differs at T=\((.*)\), y=(\S+): (\S+) != (\S+)", report.note)
+    assert match, report.note
+    assert all("/" in v for v in match.group(1).split(", "))
+    assert match.group(3) != match.group(4)
+
+
+def test_passing_reports_carry_no_witness():
+    for formula in ("con", "dope", "blowup_consistency"):
+        assert verify(formula, 4, seed=5).note == ""

@@ -170,3 +170,8 @@ def test_roundtrip_failure_is_reported():
     spoly = SPolynomial((t,), {(0, 1): 1}, (t,))  # S_t / S_t = 1
     cert = check_nonnegative(spoly, original=RatExpr.from_poly(SparsePoly.constant(1, 2)))
     assert cert.nonnegative and not cert.roundtrip_ok
+    assert cert.roundtrip_note.startswith("differs at T=(") and cert.roundtrip_note.endswith(": 1 != 2")
+
+
+def test_passing_roundtrip_has_no_note():
+    assert certify("CQ", 3).roundtrip_note == ""

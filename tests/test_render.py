@@ -2,7 +2,7 @@
 
 import pytest
 
-from eck.algebra import Character, SparsePoly
+from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import affine_class, projective_class
 from eck.identities import verify
 from eck.positivity import SPolynomial, certify, check_nonnegative, to_positive_form
@@ -114,3 +114,11 @@ def test_certificate_dict_shapes():
     d = certificate_dict(bad)
     assert d["nonnegative"] is False
     assert d["witness"]
+
+
+def test_certificate_dict_carries_a_failed_round_trip_note():
+    t = Character((1,))
+    spoly = SPolynomial((t,), {(0, 1): 1}, (t,))
+    cert = check_nonnegative(spoly, original=RatExpr.from_poly(SparsePoly.constant(1, 2)))
+    d = certificate_dict(cert)
+    assert d["roundtrip_ok"] is False and d["roundtrip_note"] == cert.roundtrip_note != ""
