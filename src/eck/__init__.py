@@ -55,7 +55,7 @@ from .specialize import (
     multidegree,
 )
 from .suite import CriterionResult, property_suite, run_all
-from .torus import FixedPointData, GeometryConfig, ambient_weights, projective_fixed_data
+from .torus import GeometryConfig, ambient_weights
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "DenominatorVanishes",
     "DivisionByZero",
     "FORMULAS",
-    "FixedPointData",
     "GeometryConfig",
     "LocalClass",
     "Monomial",
@@ -97,7 +96,6 @@ __all__ = [
     "integrate_projective",
     "multidegree",
     "projective_class",
-    "projective_fixed_data",
     "property_suite",
     "run_all",
     "smooth_local",

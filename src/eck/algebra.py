@@ -130,8 +130,22 @@ def _order_key(m: Monomial) -> tuple:
     return (m.ypow, m.char.coeffs)
 
 
-def _coeff_str(c: Coeff) -> str:
-    return str(c)
+def signed_join(terms: Iterable[str]) -> str:
+    """Join rendered terms into a sum, turning a leading ``-`` into a minus
+    sign; the empty sum is ``0``.
+
+    >>> signed_join(["y", "-2*T", "1"])
+    'y - 2*T + 1'
+    """
+    parts: list[str] = []
+    for s in terms:
+        if not parts:
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(f"- {s[1:]}")
+        else:
+            parts.append(f"+ {s}")
+    return " ".join(parts) if parts else "0"
 
 
 def _char_str(w: Character) -> str:
@@ -152,13 +166,13 @@ def _term_str(m: Monomial, c: Coeff) -> str:
     if tpart:
         factors.append(tpart)
     if not factors:
-        return _coeff_str(c)
+        return str(c)
     body = "*".join(factors)
     if c == 1:
         return body
     if c == -1:
         return f"-{body}"
-    return f"{_coeff_str(c)}*{body}"
+    return f"{c}*{body}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,10 +339,6 @@ class SparsePoly:
     def mul_one_minus(self, w: Character) -> SparsePoly:
         """Multiply by the factor ``(1 - T^w)`` without generic convolution."""
         return self - self.shifted(w)
-
-    def mul_monomial_minus_one(self, w: Character) -> SparsePoly:
-        """Multiply by ``(T^w - 1)``."""
-        return self.shifted(w) - self
 
     # -- substitutions --------------------------------------------------
 
@@ -510,18 +520,7 @@ class SparsePoly:
         return SparsePoly(self.arity, {m: _norm(c) for m, c in q.items()})
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for m, c in self.sorted_terms():
-            s = _term_str(m, c)
-            if not parts:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f"- {s[1:]}")
-            else:
-                parts.append(f"+ {s}")
-        return " ".join(parts)
+        return signed_join(_term_str(m, c) for m, c in self.sorted_terms())
 
     __repr__ = __str__
 

@@ -166,11 +166,7 @@ def _build_parser() -> _Parser:
 # -- subcommands -------------------------------------------------------------
 
 
-def _point_label(i: int) -> str:
-    return f"p_{i}"
-
-
-def _cmd_compute(args, config: RunConfig) -> tuple[list[str], list, bool]:
+def _cmd_compute(config: RunConfig) -> tuple[list[str], list, bool]:
     lines: list[str] = []
     results: list = []
     for n in range(config.n_lo, config.n_hi + 1):
@@ -182,7 +178,7 @@ def _cmd_compute(args, config: RunConfig) -> tuple[list[str], list, bool]:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         if cls.is_projective:
-            entries = [(_point_label(i), cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
+            entries = [(f"p_{i}", cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
         else:
             entries = [("origin", cls.at_origin, cls.recipes)]
         if config.format == "text":
@@ -208,7 +204,7 @@ def _cmd_compute(args, config: RunConfig) -> tuple[list[str], list, bool]:
     return lines, results, False
 
 
-def _cmd_verify(args, config: RunConfig) -> tuple[list[str], list, bool]:
+def _cmd_verify(config: RunConfig) -> tuple[list[str], list, bool]:
     lines: list[str] = []
     results: list = []
     failed = False
@@ -243,7 +239,7 @@ def _cmd_verify(args, config: RunConfig) -> tuple[list[str], list, bool]:
     return lines, results, failed
 
 
-def _cmd_certify(args, config: RunConfig) -> tuple[list[str], list, bool]:
+def _cmd_certify(config: RunConfig) -> tuple[list[str], list, bool]:
     lines: list[str] = []
     results: list = []
     failed = False
@@ -275,7 +271,7 @@ def _cmd_certify(args, config: RunConfig) -> tuple[list[str], list, bool]:
     return lines, results, failed
 
 
-def _cmd_csm(args, config: RunConfig) -> tuple[list[str], list, bool]:
+def _cmd_csm(config: RunConfig) -> tuple[list[str], list, bool]:
     lines: list[str] = []
     results: list = []
     single = config.n_lo == config.n_hi
@@ -303,7 +299,7 @@ def _cmd_csm(args, config: RunConfig) -> tuple[list[str], list, bool]:
     return lines, results, False
 
 
-def _cmd_table(args, config: RunConfig) -> tuple[list[str], list, bool]:
+def _cmd_table(config: RunConfig) -> tuple[list[str], list, bool]:
     lines: list[str] = []
     results: list = []
     outcomes = run_all(max_n=config.max_n, seed=config.seed)
@@ -374,7 +370,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from(args)
-        lines, results, failed = _COMMANDS[args.command](args, config)
+        lines, results, failed = _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -395,8 +391,12 @@ def run(argv: list[str] | None = None) -> int:
 
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 1 if failed else 0

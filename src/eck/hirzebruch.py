@@ -40,34 +40,16 @@ PROJECTIVE_KINDS = ("P", "Q", "X", "Qc", "Xc")
 AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
 
 
-class ZeroWeight(ValueError):
-    """An h-factor was requested for the zero weight."""
-
-
 #: one summand of a class: (integer coefficient, y-power, h-factors);
 #: each factor is (weight, minus_one?) meaning h(T^w) or h(T^w) - 1.
 ProductTerm = tuple[int, int, tuple[tuple[Character, bool], ...]]
-
-
-def hfactor(w: Character) -> RatExpr:
-    """``(1 + y T^w)/(1 - T^w)`` for a nonzero weight w."""
-    if w.is_zero():
-        raise ZeroWeight("h-factor of the zero weight")
-    return hfactor_expr(w)
-
-
-def hfactor_minus_one(w: Character) -> RatExpr:
-    """``h(T^w) - 1 = (1 + y) T^w/(1 - T^w)``, the class of a C* factor."""
-    if w.is_zero():
-        raise ZeroWeight("h-factor of the zero weight")
-    return hfactor_minus_one_expr(w)
 
 
 def smooth_local(weights: Iterable[Character], arity: int) -> RatExpr:
     """Localized class of a smooth germ with the given tangent weights."""
     out = RatExpr.one(arity)
     for w in weights:
-        out = out * hfactor(w)
+        out = out * hfactor_expr(w)
     return out
 
 
@@ -78,7 +60,7 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     for c, k, factors in terms:
         part = RatExpr(SparsePoly.y_power(arity, k, c))
         for w, minus_one in factors:
-            part = part * (hfactor_minus_one(w) if minus_one else hfactor(w))
+            part = part * (hfactor_minus_one_expr(w) if minus_one else hfactor_expr(w))
         out = out + part
     # A single term is already reduced: the lowest y-coefficient of its
     # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
@@ -290,5 +272,5 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     geo = cls.geometry
     out = RatExpr.zero(geo.arity)
     for i in geo.indices:
-        out = out + hfactor_minus_one(geo.affine_weight(i)) * cls.values[i]
+        out = out + hfactor_minus_one_expr(geo.affine_weight(i)) * cls.values[i]
     return out.reduced()

@@ -27,14 +27,12 @@ the original class as a rational function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .algebra import Character, RatExpr, SparsePoly, _norm
+from .algebra import Character, Coeff, RatExpr, SparsePoly, _norm
 from .hirzebruch import affine_class, ccq_terms
 from .torus import GeometryConfig, ambient_weights
 
-Coeff = int | Fraction
 SKey = tuple[int, ...]  # (delta exponent, S-exponent per weight)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import Character, RatExpr, SparsePoly
+from .algebra import Character, RatExpr, SparsePoly, _char_str, signed_join
 
 
 # -- weights ----------------------------------------------------------------
@@ -63,13 +63,7 @@ def monomial_text(w: Character) -> str:
     >>> monomial_text(Character((0, 0)))
     '1'
     """
-    parts = []
-    for i, e in enumerate(w.coeffs):
-        if e == 0:
-            continue
-        name = "T" if i == 0 else f"T{i}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    return _char_str(w) or "1"
 
 
 def monomial_latex(w: Character) -> str:
@@ -89,36 +83,23 @@ def monomial_latex(w: Character) -> str:
 # -- polynomials and rational expressions -----------------------------------
 
 
-def _coeff_text(c) -> str:
-    return str(c)
-
-
 def poly_latex(p: SparsePoly) -> str:
     """LaTeX form of a sparse Laurent polynomial in y and the T-variables."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for m, c in p.sorted_terms():
-        factors: list[str] = []
-        if m.ypow:
-            factors.append("y" if m.ypow == 1 else f"y^{{{m.ypow}}}")
-        if any(m.char.coeffs):
-            factors.append(monomial_latex(m.char))
-        if not factors:
-            body = _coeff_text(abs(c))
-        else:
-            body = " ".join(factors)
-            if abs(c) != 1:
-                body = f"{_coeff_text(abs(c))} {body}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts)
+    return signed_join(_poly_term_latex(m.ypow, m.char, c) for m, c in p.sorted_terms())
 
 
-def ratexpr_text(e: RatExpr) -> str:
-    return str(e)
+def _poly_term_latex(ypow: int, char: Character, c) -> str:
+    factors: list[str] = []
+    if ypow:
+        factors.append("y" if ypow == 1 else f"y^{{{ypow}}}")
+    if any(char.coeffs):
+        factors.append(monomial_latex(char))
+    body = " ".join(factors)
+    if not body:
+        body = str(abs(c))
+    elif abs(c) != 1:
+        body = f"{abs(c)} {body}"
+    return f"-{body}" if c < 0 else body
 
 
 def ratexpr_latex(e: RatExpr) -> str:
@@ -162,12 +143,6 @@ def ypoly_text(p: SparsePoly) -> str:
     return str(p)
 
 
-def ypoly_latex(p: SparsePoly) -> str:
-    if not p.is_y_only():
-        raise ValueError("polynomial still depends on T-variables")
-    return poly_latex(p)
-
-
 def tpoly_text(coeffs: Sequence[int]) -> str:
     """A polynomial in t from its coefficient tuple (constant term first).
 
@@ -188,20 +163,15 @@ def tpoly_latex(coeffs: Sequence[int]) -> str:
 
 
 def _tpoly(coeffs: Sequence[int], tick: str, one: str, close: str = "") -> str:
-    parts: list[str] = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
+    def term(e: int, c: int) -> str:
         if e == 0:
             body = str(abs(c))
         else:
             var = one if e == 1 else f"{tick}{e}{close}"
             body = var if abs(c) == 1 else f"{abs(c)}{var}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+        return f"-{body}" if c < 0 else body
+
+    return signed_join(term(e, c) for e, c in enumerate(coeffs) if c)
 
 
 # -- recipes (unexpanded h-factor products) ---------------------------------
@@ -233,29 +203,11 @@ def recipe_text(recipes) -> str:
     >>> recipe_text(affine_class("CCX", 2).recipes)
     '(h(T*T1) - 1)*(h(T*T1^-1) - 1)'
     """
-    parts: list[str] = []
-    for c, ypow, factors in recipes:
-        s = _recipe_term(c, ypow, factors, monomial_text, "h", "*")
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    return " ".join(parts) if parts else "0"
+    return signed_join(_recipe_term(c, ypow, factors, monomial_text, "h", "*") for c, ypow, factors in recipes)
 
 
 def recipe_latex(recipes) -> str:
-    parts: list[str] = []
-    for c, ypow, factors in recipes:
-        s = _recipe_term(c, ypow, factors, monomial_latex, "h", r" \, ")
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    return " ".join(parts) if parts else "0"
+    return signed_join(_recipe_term(c, ypow, factors, monomial_latex, "h", r" \, ") for c, ypow, factors in recipes)
 
 
 # -- delta/S positive forms --------------------------------------------------
@@ -274,29 +226,22 @@ def _spoly_term(key, c, names: Sequence[str], power) -> str:
         if e:
             factors.append(name if e == 1 else f"{name}{power(e)}")
     if not factors:
-        return _coeff_text(c)
+        return str(c)
     body = "*".join(factors)
     if c == 1:
         return body
     if c == -1:
         return f"-{body}"
-    return f"{_coeff_text(c)}*{body}"
+    return f"{c}*{body}"
 
 
 def spoly_text(sp) -> str:
     """Numerator over the product of S-variables, graded order (total degree,
     then delta-power descending)."""
     names = [f"S({weight_text(w)})" for w in sp.weights]
-    parts: list[str] = []
-    for key, c in sorted(sp.terms.items(), key=_spoly_term_order):
-        s = _spoly_term(key, c, names, lambda e: f"^{e}")
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    num = " ".join(parts) if parts else "0"
+    num = signed_join(
+        _spoly_term(key, c, names, lambda e: f"^{e}") for key, c in sorted(sp.terms.items(), key=_spoly_term_order)
+    )
     if not sp.den:
         return num
     den = " ".join(f"S({weight_text(w)})" for w in sp.den)
@@ -305,16 +250,10 @@ def spoly_text(sp) -> str:
 
 def spoly_latex(sp) -> str:
     names = [rf"S_{{{weight_latex(w)}}}" for w in sp.weights]
-    parts: list[str] = []
-    for key, c in sorted(sp.terms.items(), key=_spoly_term_order):
-        s = _spoly_term(key, c, names, lambda e: f"^{{{e}}}").replace("delta", r"\delta").replace("*", r" \, ")
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    num = " ".join(parts) if parts else "0"
+    num = signed_join(
+        _spoly_term(key, c, names, lambda e: f"^{{{e}}}").replace("delta", r"\delta").replace("*", r" \, ")
+        for key, c in sorted(sp.terms.items(), key=_spoly_term_order)
+    )
     if not sp.den:
         return num
     den = " ".join(rf"S_{{{weight_latex(w)}}}" for w in sp.den)

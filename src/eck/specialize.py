@@ -22,10 +22,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping
 
-from .algebra import Character, RatExpr, _norm
+from .algebra import Character, Coeff, RatExpr, _norm
 from .hirzebruch import LocalClass
-
-Coeff = int | Fraction
 
 _BIG = 10**9
 

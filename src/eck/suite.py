@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import Character, Monomial, RatExpr, SparsePoly, sample_points
 from .hirzebruch import PROJECTIVE_KINDS, affine_class, projective_class
@@ -30,164 +31,112 @@ class CriterionResult:
     timing_ms: float
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, (time.perf_counter() - start) * 1000.0
-
-
 def _verify_range(formula: str, ns, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
+    note = ""
     count = 0
     for n in ns:
         report = verify(formula, n, seed=seed)
         count += len(report.per_point)
         if not report.verified:
             bad.append(f"n={n}")
+            note = note or report.note
     if bad:
-        return False, f"failed at {', '.join(bad)}"
+        return False, f"failed at {', '.join(bad)}" + (f"; {note}" if note else "")
     lo, hi = min(ns), max(ns)
     return True, f"n={lo}..{hi}, {count} pointwise identities"
 
 
-def criterion_1(max_n: int = 8, seed: int = 0) -> CriterionResult:
+def _identity(formula: str, top: Callable[[int], int] = lambda max_n: max_n):
+    """Check that ``formula`` holds for n = 2..top(max_n)."""
+    return lambda max_n, seed: _verify_range(formula, range(2, top(max_n) + 1), seed)
+
+
+def _proj_within_budget(max_n: int, seed: int) -> tuple[bool, str]:
     """Complement/closed-quadric identity at every fixed point, both forms,
     with the 60 s budget measured over the whole range."""
     start = time.perf_counter()
     ok, detail = _verify_range("proj", range(2, max_n + 1), seed)
-    elapsed = time.perf_counter() - start
-    within = elapsed < 60.0
-    detail += f"; within 60 s: {within}"
-    return CriterionResult(1, "quadric-complement identity (proj)", ok and within, detail, elapsed * 1000.0)
+    within = time.perf_counter() - start < 60.0
+    return ok and within, f"{detail}; within 60 s: {within}"
 
 
-def criterion_2(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    ok, detail, ms = _timed(lambda: _verify_range("con", range(2, max_n + 1), seed))
-    return CriterionResult(2, "cone-complement identity (con)", ok, detail, ms)
+def _remark_levels(max_n: int, seed: int) -> tuple[bool, str]:
+    bad: list[str] = []
+    total = 0
+    for n in range(4, max_n + 1):
+        m = n // 2
+        for k in range(m):
+            report = verify("remark_k", n, k=k, seed=seed)
+            total += 1
+            if not report.verified:
+                bad.append(f"(n={n}, k={k})")
+    if bad:
+        return False, f"failed at {', '.join(bad)}"
+    return True, (
+        f"n=4..{max_n}, all 0 <= k <= m-1 ({total} identities); "
+        "k = m-1 coincides with the cone-complement identity (Y* = CCX checked per report)"
+    )
 
 
-def criterion_3(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    ok, detail, ms = _timed(lambda: _verify_range("dope", range(2, max_n + 1), seed))
-    return CriterionResult(3, "closed-cone identity (dope)", ok, detail, ms)
-
-
-def criterion_4(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        bad: list[str] = []
-        total = 0
-        for n in range(4, max_n + 1):
-            m = n // 2
-            for k in range(m):
-                report = verify("remark_k", n, k=k, seed=seed)
-                total += 1
-                if not report.verified:
-                    bad.append(f"(n={n}, k={k})")
-        if bad:
-            return False, f"failed at {', '.join(bad)}"
-        return True, (
-            f"n=4..{max_n}, all 0 <= k <= m-1 ({total} identities); "
-            "k = m-1 coincides with the cone-complement identity (Y* = CCX checked per report)"
-        )
-
-    ok, detail, ms = _timed(run)
-    return CriterionResult(4, "partial-degeneration identity (remark_k)", ok, detail, ms)
-
-
-def criterion_5(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    ok, detail, ms = _timed(lambda: _verify_range("expl", range(2, max_n + 2), seed))
-    return CriterionResult(5, "cone-class recursion vs additivity (expl)", ok, detail, ms)
-
-
-def criterion_6(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    ok, detail, ms = _timed(lambda: _verify_range("closed_form", range(2, max_n + 2), seed))
-    return CriterionResult(6, "diagonal closed forms", ok, detail, ms)
-
-
-def criterion_7(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    hi = min(6, max_n)
-    ok, detail, ms = _timed(lambda: _verify_range("blowup_consistency", range(2, hi + 1), seed))
-    return CriterionResult(7, "blowup pushforward consistency", ok, detail, ms)
-
-
-def criterion_8(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        bad: list[str] = []
-        for kind in ("CCQ", "CQ"):
-            for n in range(2, max_n + 1):
-                cert = certify(kind, n, seed=seed)
-                if not cert.nonnegative:
-                    key, c = cert.witness
-                    bad.append(f"{kind}_{n} negative term {c} at {key}")
-                elif not cert.roundtrip_ok:
-                    bad.append(f"{kind}_{n} round trip failed")
-        if bad:
-            return False, "; ".join(bad)
-        return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"
-
-    ok, detail, ms = _timed(run)
-    return CriterionResult(8, "positivity certificates", ok, detail, ms)
-
-
-def criterion_9(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        parts: list[str] = []
-        all_ok = True
-        for n in range(2, min(7, max_n) + 1):
-            both = csm_both(n)
-            ok = both["family"] == both["CCQ"]
-            all_ok = all_ok and ok
-            if ok:
-                parts.append(f"n={n} ok")
-            else:
-                parts.append(f"n={n} MISMATCH family={both['family']} computed={both['CCQ']}")
-        return all_ok, "; ".join(parts)
-
-    ok, detail, ms = _timed(run)
-    return CriterionResult(9, "CSM limit vs closed family", ok, detail, ms)
-
-
-def criterion_10(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        bad: list[str] = []
+def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
+    bad: list[str] = []
+    for kind in ("CCQ", "CQ"):
         for n in range(2, max_n + 1):
-            got = multidegree(diagonalize(affine_class("CQ", n)), n)
-            if got != (2, 1 - n):
-                bad.append(f"n={n}: {got}")
-        if bad:
-            return False, f"bottom term wrong at {', '.join(bad)}"
-        return True, f"bottom term of CQ_n at y=0 is 2*t^(1-n) for n=2..{max_n}"
-
-    ok, detail, ms = _timed(run)
-    return CriterionResult(10, "multidegree of the quadric cone", ok, detail, ms)
-
-
-def criterion_11(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    ok, detail, ms = _timed(lambda: _verify_range("milnor_div_y", range(2, max_n + 1), seed))
-    return CriterionResult(11, "y=0 agreement of generic and special fibers", ok, detail, ms)
+            cert = certify(kind, n, seed=seed)
+            if not cert.nonnegative:
+                key, c = cert.witness
+                bad.append(f"{kind}_{n} negative term {c} at {key}")
+            elif not cert.roundtrip_ok:
+                bad.append(f"{kind}_{n} round trip failed")
+    if bad:
+        return False, "; ".join(bad)
+    return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"
 
 
-def criterion_12(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        bad: list[str] = []
-        count = 0
-        for kind in PROJECTIVE_KINDS:
-            lo = 1 if kind == "P" else 2
-            for n in range(lo, max_n + 1):
-                poly = chi_y(kind, n)
-                count += 1
-                if not poly.is_y_only():
-                    bad.append(f"{kind}_{n} not a pure y-polynomial")
-        for n in range(1, max_n + 1):
-            if chi_y("P", n).y_coefficients() != {p: (-1) ** p for p in range(n)}:
-                bad.append(f"P_{n} genus wrong")
-        if chi_y("Q", 4).y_coefficients() != {0: 1, 1: -2, 2: 1}:
-            bad.append("Q_4 genus != (1-y)^2")
-        if bad:
-            return False, "; ".join(bad)
-        return True, f"{count} integrals pure in y; projective-space genus and Q_4 = (1-y)^2 both exact"
+def _csm_limits(max_n: int, seed: int) -> tuple[bool, str]:
+    parts: list[str] = []
+    all_ok = True
+    for n in range(2, min(7, max_n) + 1):
+        both = csm_both(n)
+        ok = both["family"] == both["CCQ"]
+        all_ok = all_ok and ok
+        if ok:
+            parts.append(f"n={n} ok")
+        else:
+            parts.append(f"n={n} MISMATCH family={both['family']} computed={both['CCQ']}")
+    return all_ok, "; ".join(parts)
 
-    ok, detail, ms = _timed(run)
-    return CriterionResult(12, "chi_y integrals", ok, detail, ms)
+
+def _multidegrees(max_n: int, seed: int) -> tuple[bool, str]:
+    bad: list[str] = []
+    for n in range(2, max_n + 1):
+        got = multidegree(diagonalize(affine_class("CQ", n)), n)
+        if got != (2, 1 - n):
+            bad.append(f"n={n}: {got}")
+    if bad:
+        return False, f"bottom term wrong at {', '.join(bad)}"
+    return True, f"bottom term of CQ_n at y=0 is 2*t^(1-n) for n=2..{max_n}"
+
+
+def _genera(max_n: int, seed: int) -> tuple[bool, str]:
+    bad: list[str] = []
+    count = 0
+    for kind in PROJECTIVE_KINDS:
+        lo = 1 if kind == "P" else 2
+        for n in range(lo, max_n + 1):
+            poly = chi_y(kind, n)
+            count += 1
+            if not poly.is_y_only():
+                bad.append(f"{kind}_{n} not a pure y-polynomial")
+    for n in range(1, max_n + 1):
+        if chi_y("P", n).y_coefficients() != {p: (-1) ** p for p in range(n)}:
+            bad.append(f"P_{n} genus wrong")
+    if chi_y("Q", 4).y_coefficients() != {0: 1, 1: -2, 2: 1}:
+        bad.append("Q_4 genus != (1-y)^2")
+    if bad:
+        return False, "; ".join(bad)
+    return True, f"{count} integrals pure in y; projective-space genus and Q_4 = (1-y)^2 both exact"
 
 
 # -- property suite (criterion 13) ------------------------------------------
@@ -312,36 +261,57 @@ def property_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     return results
 
 
-def criterion_13(max_n: int = 8, seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        results = property_suite(seed)
-        bad = [name for name, ok, _ in results if not ok]
-        if bad:
-            return False, f"failed: {', '.join(bad)}"
-        return True, "; ".join(f"{name}: {detail}" for name, ok, detail in results)
+def _properties(max_n: int, seed: int) -> tuple[bool, str]:
+    results = property_suite(seed)
+    bad = [name for name, ok, _ in results if not ok]
+    if bad:
+        return False, f"failed: {', '.join(bad)}"
+    return True, "; ".join(f"{name}: {detail}" for name, ok, detail in results)
 
-    ok, detail, ms = _timed(run)
-    return CriterionResult(13, "randomized property suite", ok, detail, ms)
+
+# -- the table -----------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Criterion:
+    """One row of the acceptance table.  ``check(max_n, seed)`` returns
+    ``(passed, detail)``; calling the row runs the check and times it."""
+
+    number: int
+    name: str
+    check: Callable[[int, int], tuple[bool, str]]
+
+    @property
+    def __name__(self) -> str:
+        return f"criterion_{self.number}"
+
+    def __call__(self, max_n: int = 8, seed: int = 0) -> CriterionResult:
+        start = time.perf_counter()
+        passed, detail = self.check(max_n, seed)
+        return CriterionResult(self.number, self.name, passed, detail, (time.perf_counter() - start) * 1000.0)
 
 
 CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
+    Criterion(1, "quadric-complement identity (proj)", _proj_within_budget),
+    Criterion(2, "cone-complement identity (con)", _identity("con")),
+    Criterion(3, "closed-cone identity (dope)", _identity("dope")),
+    Criterion(4, "partial-degeneration identity (remark_k)", _remark_levels),
+    Criterion(5, "cone-class recursion vs additivity (expl)", _identity("expl", top=lambda max_n: max_n + 1)),
+    Criterion(6, "diagonal closed forms", _identity("closed_form", top=lambda max_n: max_n + 1)),
+    Criterion(7, "blowup pushforward consistency", _identity("blowup_consistency", top=lambda max_n: min(6, max_n))),
+    Criterion(8, "positivity certificates", _certificates),
+    Criterion(9, "CSM limit vs closed family", _csm_limits),
+    Criterion(10, "multidegree of the quadric cone", _multidegrees),
+    Criterion(11, "y=0 agreement of generic and special fibers", _identity("milnor_div_y")),
+    Criterion(12, "chi_y integrals", _genera),
+    Criterion(13, "randomized property suite", _properties),
 )
+
+#: the documented odd-n failure, checked on its own by the acceptance test
+criterion_9 = CRITERIA[8]
 
 
 def run_all(max_n: int = 8, seed: int = 0) -> list[CriterionResult]:
     """Run all thirteen checks in order (the default bound reproduces the
     canonical ranges)."""
-    return [fn(max_n=max_n, seed=seed) for fn in CRITERIA]
+    return [criterion(max_n=max_n, seed=seed) for criterion in CRITERIA]

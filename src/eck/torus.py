@@ -103,16 +103,6 @@ class GeometryConfig:
         return tuple(self.proj_weight(j) - wi for j in self.indices if j != i)
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPointData:
-    """Per fixed point p_j: its tangent weights in P^{n-1} and the affine
-    weight of its coordinate line."""
-
-    point: int
-    tangent: tuple[Character, ...]
-    coordinate_weight: Character
-
-
 def ambient_weights(n: int) -> list[Character]:
     """Weights of the C^n representation, in index order.
 
@@ -121,14 +111,3 @@ def ambient_weights(n: int) -> list[Character]:
     """
     geo = GeometryConfig(n)
     return [geo.affine_weight(j) for j in geo.indices]
-
-
-def projective_fixed_data(n: int) -> list[FixedPointData]:
-    """Fixed points of P^{n-1} with tangent and coordinate weights."""
-    if n < 1:
-        raise ValueError("projective space needs n >= 1")
-    geo = GeometryConfig(n)
-    return [
-        FixedPointData(point=j, tangent=geo.tangent_weights(j), coordinate_weight=geo.affine_weight(j))
-        for j in geo.indices
-    ]

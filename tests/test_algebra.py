@@ -31,8 +31,6 @@ from eck.hirzebruch import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
     affine_class,
-    hfactor,
-    hfactor_minus_one,
     projective_class,
 )
 
@@ -415,7 +413,7 @@ def _unreduced_sum(arity: int, terms) -> RatExpr:
     for c, k, factors in terms:
         part = RatExpr(SparsePoly.y_power(arity, k, c))
         for w, minus_one in factors:
-            part = part * (hfactor_minus_one(w) if minus_one else hfactor(w))
+            part = part * (hfactor_minus_one_expr(w) if minus_one else hfactor_expr(w))
         out = out + part
     return out
 

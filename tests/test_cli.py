@@ -177,7 +177,7 @@ def test_table_runs_are_byte_identical(capsys):
     ],
 )
 def test_internal_errors_are_one_line(capsys, monkeypatch, error):
-    def broken(args, config):
+    def broken(config):
         raise error("remainder on line (0,) (y^0)")
 
     monkeypatch.setitem(cli._COMMANDS, "compute", broken)
@@ -200,3 +200,12 @@ def test_csm_order_round_trips_through_params(capsys):
     assert run(["csm", "--n", "4", "--format", "json"]) == 0
     doc, _ = _json_out(capsys)
     assert "order" not in doc["params"]
+
+
+def test_unwritable_out_is_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert run(["csm", "--n", "4", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from eck.algebra import Character, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
+from eck.algebra import Character, DivisionByZero, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
 from eck.hirzebruch import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
-    ZeroWeight,
     affine_class,
     cone_pushforward,
     projective_class,
@@ -41,7 +40,7 @@ def test_smooth_local_pair():
 
 
 def test_smooth_local_rejects_zero_weight():
-    with pytest.raises(ZeroWeight):
+    with pytest.raises(DivisionByZero):
         smooth_local((ch(0, 0),), 2)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from eck.algebra import Character
-from eck.torus import GeometryConfig, ambient_weights, projective_fixed_data
+from eck.torus import GeometryConfig, ambient_weights
 
 
 def coeffs(ws):
@@ -106,18 +106,6 @@ def test_affine_weight_adds_cone_character():
     assert geo.affine_weight(2) == geo.t + geo.proj_weight(2)
 
 
-def test_projective_fixed_data_consistency():
-    for n in (2, 3, 5):
-        geo = GeometryConfig(n)
-        data = projective_fixed_data(n)
-        assert [d.point for d in data] == list(geo.indices)
-        for d in data:
-            assert d.tangent == geo.tangent_weights(d.point)
-            assert d.coordinate_weight == geo.affine_weight(d.point)
-
-
 def test_rejects_negative_dimension():
     with pytest.raises(ValueError):
         GeometryConfig(-1)
-    with pytest.raises(ValueError):
-        projective_fixed_data(0)
