@@ -256,11 +256,6 @@ class SparsePoly:
             raise ValueError("polynomial still depends on T-variables")
         return {m.ypow: c for m, c in sorted(self.terms.items(), key=lambda it: it[0].ypow)}
 
-    def y_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(m.ypow for m in self.terms)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: SparsePoly) -> None:

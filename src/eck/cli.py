@@ -38,6 +38,7 @@ from .identities import FORMULAS, verify
 from .positivity import certify
 from .render import (
     certificate_dict,
+    latex_escape,
     ratexpr_dict,
     ratexpr_latex,
     recipe_latex,
@@ -234,6 +235,8 @@ def _cmd_verify(config: RunConfig) -> tuple[list[str], list, bool]:
                 bad = ", ".join(label for label, ok in report.per_point if not ok)
                 line += f"; failed at {bad}"
             if config.format == "latex":
+                if not report.verified and report.note:
+                    status += f" --- {latex_escape(report.note)}"
                 line = rf"\texttt{{{config.formula}}} & {n} & {report.k if report.k is not None else ''} & {status} \\"
             lines.append(line)
     return lines, results, failed

@@ -19,19 +19,25 @@ degeneration ``X_n = {x_{-m} x_m = 0}``:
 
 Every class is assembled as an integer combination ``sum c * y^k * prod(h or
 h-1)``; the combination (a "recipe") is kept alongside the evaluated
-rational expression so output can render unexpanded products.
+rational expression so output can render unexpanded products.  Each product
+is built by shift-and-add: every factor's numerator is a sum of two unit
+monomials, so multiplying by it adds two shifted copies of a dict keyed by
+flat ``(ypow, e_0, ..., e_m)`` exponent tuples, and no generic polynomial
+product is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping
 
 from .algebra import (
     Character,
+    DivisionByZero,
+    Monomial,
     RatExpr,
     SparsePoly,
-    hfactor_expr,
     hfactor_minus_one_expr,
 )
 from .torus import GeometryConfig
@@ -45,23 +51,61 @@ AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
 ProductTerm = tuple[int, int, tuple[tuple[Character, bool], ...]]
 
 
+def _product(arity: int, c: int, k: int, factors: Iterable[tuple[Character, bool]]) -> RatExpr:
+    """One recipe term ``c * y^k * prod(h or h-1)``, built by shift-and-add.
+
+    Over a sign-canonical weight ``w``, ``h(T^w)`` maps a numerator ``p`` to
+    ``p + y T^w p`` and ``h - 1`` maps it to ``T^w p + y T^w p``.  Any other
+    weight is flipped on the spot (``1/(1 - T^w) = -T^-w/(1 - T^-w)``): ``h``
+    becomes ``-(y + T^-w)`` and ``h - 1`` becomes ``-(1 + y)`` over ``1 - T^-w``,
+    so the denominator is canonical as built.  Every step adds two copies
+    with coefficient +1, so nothing cancels and the signs are applied once at
+    the end.  A zero ``c`` keeps the denominator with a zero numerator.
+    """
+    if k < 0:
+        raise ValueError("y admits only nonnegative exponents")
+    zero = (0,) * arity
+    unit_y = (1,) + zero
+    acc = {(k,) + zero: 1} if c else {}
+    scale = c
+    den = []
+    for w, minus_one in factors:
+        if w.is_zero():
+            raise DivisionByZero("h-factor of the zero weight")
+        if w.is_sign_canonical():
+            shifts = ((0,) + w.coeffs if minus_one else None, (1,) + w.coeffs)
+        else:
+            w = -w
+            scale = -scale
+            shifts = (None, unit_y) if minus_one else (unit_y, (0,) + w.coeffs)
+        den.append(w)
+        out: dict[tuple[int, ...], int] = {}
+        for shift in shifts:
+            for key, v in acc.items():
+                if shift is not None:
+                    key = tuple(map(add, key, shift))
+                out[key] = out.get(key, 0) + v
+        acc = out
+    num = {Monomial(Character(key[1:]), key[0]): scale * v for key, v in acc.items()}
+    return RatExpr(SparsePoly(arity, num), tuple(den))
+
+
 def smooth_local(weights: Iterable[Character], arity: int) -> RatExpr:
     """Localized class of a smooth germ with the given tangent weights."""
-    out = RatExpr.one(arity)
-    for w in weights:
-        out = out * hfactor_expr(w)
-    return out
+    return _product(arity, 1, 0, tuple((w, False) for w in weights))
 
 
 def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
-    """Evaluate a recipe ``sum c * y^k * prod(h(+/-1))`` to a RatExpr."""
+    """Evaluate a recipe ``sum c * y^k * prod(h(+/-1))`` to a RatExpr.
+
+    Each term is built by shift-and-add over flat exponent keys (see
+    :func:`_product`), one ``SparsePoly`` and one ``RatExpr`` per term; the
+    terms are added over a common denominator and the sum is reduced once.
+    """
     terms = tuple(terms)
     out = RatExpr.zero(arity)
     for c, k, factors in terms:
-        part = RatExpr(SparsePoly.y_power(arity, k, c))
-        for w, minus_one in factors:
-            part = part * (hfactor_minus_one_expr(w) if minus_one else hfactor_expr(w))
-        out = out + part
+        out = out + _product(arity, c, k, factors)
     # A single term is already reduced: the lowest y-coefficient of its
     # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
     # c T^v, and a factor 1 - T^w free of y dividing the numerator would

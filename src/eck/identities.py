@@ -97,8 +97,8 @@ def _check_proj(n: int, same: Compare) -> tuple[list[tuple[str, bool]], str]:
     for i in geo.indices:
         rhs = y * small.values[i]
         label = _point_label(i)
-        open_form = same(label, classes["Xc"].values[i] - classes["Qc"].values[i], rhs)
-        closed_form = same(label, classes["Q"].values[i] - classes["X"].values[i], rhs)
+        open_form = same(f"{label} (Xc - Qc)", classes["Xc"].values[i] - classes["Qc"].values[i], rhs)
+        closed_form = same(f"{label} (Q - X)", classes["Q"].values[i] - classes["X"].values[i], rhs)
         rows.append((label, open_form and closed_form))
     note = "n=2 relies on the conventions Q_0 = empty, td_y(empty) = 0" if n == 2 else ""
     return rows, note
@@ -245,8 +245,9 @@ def verify(formula: str, n: int, k: int | None = None, seed: int = 0) -> Verific
     Every comparison is decided exactly.  For each one that fails, the note
     gets its label and the first of the points :func:`sample_points` draws
     from ``seed`` where the two sides differ, with both values, e.g.
-    ``p_1 differs at T=(2/3, 5/7), y=-3/4: 1/2 != 3/5``.  Passing checks
-    leave the note as it is.
+    ``p_1 differs at T=(2/3, 5/7), y=-3/4: 1/2 != 3/5``; ``proj`` labels its
+    two forms ``p_i (Xc - Qc)`` and ``p_i (Q - X)``.  Passing checks leave the
+    note as it is.
 
     >>> verify("con", 2).verified
     True

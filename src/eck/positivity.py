@@ -97,12 +97,6 @@ class SPolynomial:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def _key(self, delta: int = 0, s: Mapping[int, int] | None = None) -> SKey:
-        exps = [delta] + [0] * self.nvars
-        for i, e in (s or {}).items():
-            exps[1 + i] += e
-        return tuple(exps)
-
     def sorted_terms(self) -> list[tuple[SKey, Coeff]]:
         return sorted(self.terms.items())
 

@@ -260,6 +260,32 @@ def spoly_latex(sp) -> str:
     return rf"\frac{{{num}}}{{{den}}}"
 
 
+_LATEX_SPECIALS = str.maketrans(
+    {
+        "\\": r"\textbackslash{}",
+        "{": r"\{",
+        "}": r"\}",
+        "$": r"\$",
+        "&": r"\&",
+        "#": r"\#",
+        "_": r"\_",
+        "%": r"\%",
+        "^": r"\textasciicircum{}",
+        "~": r"\textasciitilde{}",
+    }
+)
+
+
+def latex_escape(text: str) -> str:
+    r"""Plain text made safe to typeset: LaTeX's ten special characters are
+    escaped in one pass.
+
+    >>> print(latex_escape("p_1 differs at T=(2/3), y=-3/4: 1/2 != 3/5 & 50%"))
+    p\_1 differs at T=(2/3), y=-3/4: 1/2 != 3/5 \& 50\%
+    """
+    return text.translate(_LATEX_SPECIALS)
+
+
 # -- reports and certificates ------------------------------------------------
 
 

@@ -31,6 +31,12 @@ class CriterionResult:
     timing_ms: float
 
 
+def _failed_at(bad: list[str], note: str) -> str:
+    """Detail of a failing identity criterion: where it failed, then the
+    witness note of the first failing report."""
+    return f"failed at {', '.join(bad)}" + (f"; {note}" if note else "")
+
+
 def _verify_range(formula: str, ns, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     note = ""
@@ -42,7 +48,7 @@ def _verify_range(formula: str, ns, seed: int) -> tuple[bool, str]:
             bad.append(f"n={n}")
             note = note or report.note
     if bad:
-        return False, f"failed at {', '.join(bad)}" + (f"; {note}" if note else "")
+        return False, _failed_at(bad, note)
     lo, hi = min(ns), max(ns)
     return True, f"n={lo}..{hi}, {count} pointwise identities"
 
@@ -63,6 +69,7 @@ def _proj_within_budget(max_n: int, seed: int) -> tuple[bool, str]:
 
 def _remark_levels(max_n: int, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
+    note = ""
     total = 0
     for n in range(4, max_n + 1):
         m = n // 2
@@ -71,8 +78,9 @@ def _remark_levels(max_n: int, seed: int) -> tuple[bool, str]:
             total += 1
             if not report.verified:
                 bad.append(f"(n={n}, k={k})")
+                note = note or report.note
     if bad:
-        return False, f"failed at {', '.join(bad)}"
+        return False, _failed_at(bad, note)
     return True, (
         f"n=4..{max_n}, all 0 <= k <= m-1 ({total} identities); "
         "k = m-1 coincides with the cone-complement identity (Y* = CCX checked per report)"

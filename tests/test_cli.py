@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from eck import cli
-from eck.algebra import DenominatorVanishes, NotDivisible
+from eck import cli, identities
+from eck.algebra import DenominatorVanishes, NotDivisible, RatExpr, SparsePoly
 from eck.cli import run
 from eck.identities import ResidualTDependence
 from eck.positivity import StructuralRewriteFailed
@@ -88,6 +88,15 @@ def test_dimension_cap(capsys, monkeypatch):
     monkeypatch.setenv("ECK_MAX_N", "banana")
     assert run(["csm", "--n", "2"]) == 2
     assert "ECK_MAX_N" in capsys.readouterr().err
+
+
+def test_failed_latex_verify_row_carries_its_escaped_witness(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "_y", lambda arity, power=1: RatExpr.from_poly(SparsePoly.y_power(arity, power, 2)))
+    assert run(["verify", "--formula", "proj", "--n", "3", "--format", "latex"]) == 1
+    (row,) = capsys.readouterr().out.splitlines()
+    assert row.startswith(r"\texttt{proj} & 3 &  & FAILED --- p\_0 (Xc - Qc) differs at T=(")
+    assert r"; p\_0 (Q - X) differs at T=(" in row and row.endswith(r" \\")
+    assert "p_0" not in row
 
 
 def test_compute_latex_forms(capsys):

@@ -4,6 +4,8 @@ origin values of the cone family, with the frozen per-point product forms."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eck.algebra import Character, DivisionByZero, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
 from eck.hirzebruch import (
@@ -13,7 +15,9 @@ from eck.hirzebruch import (
     cone_pushforward,
     projective_class,
     smooth_local,
+    sum_of_products,
 )
+from eck.identities import ystar_terms
 from eck.torus import GeometryConfig
 
 
@@ -297,3 +301,76 @@ def test_pushforward_linearity():
     lhs = cone_pushforward(combined)
     rhs = cone_pushforward(a) + cone_pushforward(b)
     assert lhs.equivalent(rhs)
+
+
+# -- shift-and-add products against RatExpr multiplication ---------------------
+
+
+def _multiplied(arity: int, terms) -> RatExpr:
+    """A recipe evaluated by the generic route: each product multiplies the
+    h-factor expressions as RatExprs, then the same sum and one reduction."""
+    terms = tuple(terms)
+    out = RatExpr.zero(arity)
+    for c, k, factors in terms:
+        part = RatExpr(SparsePoly.y_power(arity, k, c))
+        for w, minus_one in factors:
+            part = part * (hfactor_minus_one_expr(w) if minus_one else hfactor_expr(w))
+        out = out + part
+    return out.reduced() if len(terms) > 1 else out
+
+
+def _assert_same_value(arity: int, terms) -> None:
+    got, want = sum_of_products(arity, terms), _multiplied(arity, terms)
+    assert got.den == want.den, terms
+    assert got.num.terms == want.num.terms, terms
+
+
+_FLOORS = {"P": 1, "Q": 0, "Qc": 0, "X": 2, "Xc": 2}
+
+
+@pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
+def test_projective_recipes_match_multiplied_products(kind):
+    for n in range(_FLOORS[kind], 9):
+        cls = projective_class(kind, n)
+        for i in cls.geometry.indices:
+            _assert_same_value(cls.geometry.arity, cls.recipes[i])
+
+
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_affine_recipes_match_multiplied_products(kind):
+    for n in range(2 if kind in ("CX", "CCX") else 0, 9):
+        cls = affine_class(kind, n)
+        _assert_same_value(cls.geometry.arity, cls.recipes)
+
+
+def test_special_fiber_recipes_match_multiplied_products():
+    for n in range(4, 9):
+        geo = GeometryConfig(n)
+        for k in range(geo.m):
+            _assert_same_value(geo.arity, ystar_terms(geo, k))
+
+
+@st.composite
+def _recipes(draw):
+    """Random recipes: weights of either sign (so some are not
+    sign-canonical), both factor kinds, and zero coefficients."""
+    arity = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-2, 2)] * arity).filter(any).map(Character)
+    term = st.tuples(
+        st.integers(-3, 3),
+        st.integers(0, 2),
+        st.lists(st.tuples(weight, st.booleans()), max_size=4).map(tuple),
+    )
+    return arity, draw(st.lists(term, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_recipes())
+def test_random_recipes_match_multiplied_products(recipe):
+    _assert_same_value(*recipe)
+
+
+def test_zero_weight_is_rejected_even_with_a_zero_coefficient():
+    for c in (0, 1):
+        with pytest.raises(DivisionByZero, match="h-factor of the zero weight"):
+            sum_of_products(2, [(c, 0, ((ch(1, 0), False), (ch(0, 0), True)))])
