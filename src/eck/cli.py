@@ -25,6 +25,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import (
+    CertificateShareFailed,
     DenominatorVanishes,
     NonvanishingNegativeUPart,
     NotDivisible,
@@ -59,6 +60,7 @@ _INTERNAL_ERRORS = (
     StructuralRewriteFailed,
     NonvanishingNegativeUPart,
     ZeroClass,
+    CertificateShareFailed,
 )
 
 
@@ -237,7 +239,8 @@ def _cmd_verify(config: RunConfig) -> tuple[list[str], list, bool]:
             if config.format == "latex":
                 if not report.verified and report.note:
                     status += f" --- {latex_escape(report.note)}"
-                line = rf"\texttt{{{config.formula}}} & {n} & {report.k if report.k is not None else ''} & {status} \\"
+                name = latex_escape(config.formula)
+                line = rf"\texttt{{{name}}} & {n} & {report.k if report.k is not None else ''} & {status} \\"
             lines.append(line)
     return lines, results, failed
 
@@ -316,7 +319,9 @@ def _cmd_table(config: RunConfig) -> tuple[list[str], list, bool]:
             continue
         status = "PASS" if r.passed else "FAIL"
         if config.format == "latex":
-            lines.append(rf"{r.number} & \texttt{{{r.name}}} & {status} \\")
+            if not r.passed:
+                status += f" --- {latex_escape(r.detail)}"
+            lines.append(rf"{r.number} & \texttt{{{latex_escape(r.name)}}} & {status} \\")
         else:
             line = f"[{status}] {r.number:2d} {r.name}"
             if config.timings:

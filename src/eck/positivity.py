@@ -93,10 +93,6 @@ class SPolynomial:
             if c == 0:
                 raise ValueError("zero coefficient stored")
 
-    @property
-    def nvars(self) -> int:
-        return len(self.weights)
-
     def sorted_terms(self) -> list[tuple[SKey, Coeff]]:
         return sorted(self.terms.items())
 

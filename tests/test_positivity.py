@@ -60,7 +60,7 @@ def test_negative_multiplicity_rejected():
 def test_spolynomial_validation():
     t = _t(1)
     with pytest.raises(ValueError):
-        SPolynomial((t,), {(1,): 1})  # width must be 1 + nvars
+        SPolynomial((t,), {(1,): 1})  # width must be 1 + len(weights)
     with pytest.raises(ValueError):
         SPolynomial((t,), {(0, -1): 1})
     with pytest.raises(ValueError):
