@@ -7,7 +7,7 @@ measured quantity is wall time, which check 1 bounds.
 
 Check 8 (the positivity certificates) uses up to one process per usable
 CPU: this process certifies one share and each extra share runs in a fresh
-interpreter, which costs about 20 MB of memory.  The verdict and detail are
+interpreter, which costs about 18 MB of memory.  The verdict and detail are
 identical to a one-process run; ``taskset -c 0 eck table`` runs it in one
 process.
 """
@@ -105,7 +105,7 @@ class CertificateShareFailed(RuntimeError):
 _SHARE_PROGRAM = "import sys; from eck.suite import _share_main; sys.exit(_share_main(sys.argv[1]))"
 
 
-def certificate_failures(tasks, seed: int) -> list[str | None]:
+def _certificate_failures(tasks, seed: int) -> list[str | None]:
     """Certify each ``(kind, n)``: ``None`` for a pass, else one failure line."""
     out: list[str | None] = []
     for kind, n in tasks:
@@ -127,7 +127,7 @@ def _share_main(job: str) -> int:
 
     share = json.loads(job)
     try:
-        failures = certificate_failures([tuple(task) for task in share["tasks"]], share["seed"])
+        failures = _certificate_failures(share["tasks"], share["seed"])
     except Exception as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"}))
         return 1
@@ -170,7 +170,7 @@ def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
             failures = error = None
         if proc.returncode == 0 and isinstance(failures, list) and len(failures) == len(shares[s]):
             return failures
-        lines = err.strip().splitlines()
+        lines = err.decode(errors="replace").strip().splitlines()
         why = error or (lines[-1] if lines else f"exit status {proc.returncode}, no readable result")
         raise CertificateShareFailed(f"{label(s)}: {why}")
 
@@ -186,12 +186,11 @@ def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
                         stdout=subprocess.PIPE,
                         stderr=subprocess.PIPE,
                         env=env,
-                        text=True,
                     )
                 )
             except OSError as exc:
                 raise CertificateShareFailed(f"{label(s)} could not start: {type(exc).__name__}: {exc}") from None
-        results = [certificate_failures(shares[0], seed)]
+        results = [_certificate_failures(shares[0], seed)]
         results += [finish(s, proc) for s, proc in enumerate(procs, 1)]
     finally:
         for proc in procs:

@@ -124,10 +124,11 @@ _RAISES = (
         (_RAISES, None, "NotDivisible: CQ_2: remainder on line (0,)"),
         ("raise SystemExit(3)", None, "exit status 3, no readable result"),
         ("print('not json')", None, "exit status 0, no readable result"),
+        ("import sys; sys.stdout.buffer.write(b'\\xff\\n')", None, "exit status 0, no readable result"),
         ("raise KeyError('lost')", None, "KeyError: 'lost'"),
         (None, "/nonexistent/python3", "could not start: FileNotFoundError"),
     ],
-    ids=["raises", "exits", "garbled", "traceback", "cannot-start"],
+    ids=["raises", "exits", "garbled", "not-utf8", "traceback", "cannot-start"],
 )
 def test_failing_share_is_one_internal_error_line(capsys, monkeypatch, program, executable, why):
     monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
