@@ -1,7 +1,16 @@
-"""The acceptance table itself: its rows and how a failing row reports."""
+"""The acceptance table itself: its rows, how a failing row reports, and
+criterion 8's split across processes."""
 
-from eck import identities
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from eck import identities, suite
 from eck.algebra import RatExpr, SparsePoly
+from eck.cli import run
 from eck.identities import verify
 from eck.suite import CRITERIA
 
@@ -48,16 +57,6 @@ def test_failing_proj_criterion_names_each_form_once(monkeypatch):
 
 
 # -- criterion 8 split across processes -----------------------------------
-
-import os  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import pytest  # noqa: E402
-
-from eck import suite  # noqa: E402
-from eck.cli import run  # noqa: E402
 
 SRC = str(Path(suite.__file__).resolve().parent.parent)
 
