@@ -54,7 +54,7 @@ from .specialize import (
     diagonalize,
     multidegree,
 )
-from .suite import CertificateShareFailed, CriterionResult, property_suite, run_all
+from .suite import CriterionResult, property_suite, run_all
 from .torus import GeometryConfig, ambient_weights
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "ArityMismatch",
     "BiSeries",
     "Certificate",
-    "CertificateShareFailed",
     "Character",
     "CriterionResult",
     "DenominatorVanishes",

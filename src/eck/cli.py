@@ -25,7 +25,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import (
-    CertificateShareFailed,
     DenominatorVanishes,
     NonvanishingNegativeUPart,
     NotDivisible,
@@ -60,7 +59,6 @@ _INTERNAL_ERRORS = (
     StructuralRewriteFailed,
     NonvanishingNegativeUPart,
     ZeroClass,
-    CertificateShareFailed,
 )
 
 

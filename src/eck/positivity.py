@@ -137,6 +137,40 @@ class SPolynomial:
             num = -num
         return RatExpr(num, self.den)
 
+    def to_ratexpr_horner(self, arity: int) -> RatExpr:
+        """The back-substitution of :meth:`to_ratexpr`, nested by Horner's
+        rule over the exponent vectors: multiplying by S_w = T^w - 1 is a
+        shift and a subtraction, and by delta = -1 - y it is -(p + y p), so
+        no power of a variable is ever expanded.
+
+        >>> from .torus import GeometryConfig
+        >>> t = GeometryConfig(1).affine_weight(0)
+        >>> print(h_in_s((t,), t).to_ratexpr_horner(1))
+        (1 + y*T) / (1 - T)
+        """
+        zero = Character.zero(arity)
+        steps = [lambda p: -(p + p.shifted(zero, 1))]
+        steps += [lambda p, w=w: p.shifted(w) - p for w in self.weights]
+
+        def nest(terms: list[tuple[SKey, Coeff]], j: int) -> SparsePoly:
+            # every key in ``terms`` agrees on the exponents before index j
+            if j == len(steps):
+                return SparsePoly.constant(arity, terms[0][1])
+            groups: dict[int, list] = {}
+            for key, c in terms:
+                groups.setdefault(key[j], []).append((key, c))
+            out = SparsePoly.zero(arity)
+            for e in range(max(groups), -1, -1):
+                out = steps[j](out)
+                if e in groups:
+                    out = out + nest(groups[e], j + 1)
+            return out
+
+        num = nest(list(self.terms.items()), 0) if self.terms else SparsePoly.zero(arity)
+        if len(self.den) % 2:
+            num = -num
+        return RatExpr(num, self.den)
+
     def __str__(self) -> str:
         from .render import spoly_text
 

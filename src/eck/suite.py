@@ -4,19 +4,11 @@ both run these; nothing here prints.
 
 Every check is exact (rational-function or integer equality); the only
 measured quantity is wall time, which check 1 bounds.
-
-Check 8 (the positivity certificates) uses up to one process per usable
-CPU: this process certifies one share and each extra share runs in a fresh
-interpreter, which costs about 18 MB of memory.  The verdict and detail are
-identical to a one-process run; ``taskset -c 0 eck table`` runs it in one
-process.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +17,7 @@ from typing import Callable
 from .algebra import Character, Monomial, RatExpr, SparsePoly, sample_points
 from .hirzebruch import PROJECTIVE_KINDS, affine_class, projective_class
 from .identities import chi_y, verify
-from .positivity import certify
+from .positivity import to_positive_form
 from .specialize import csm_both, diagonalize, multidegree
 from .torus import GeometryConfig
 
@@ -95,112 +87,23 @@ def _remark_levels(max_n: int, seed: int) -> tuple[bool, str]:
     )
 
 
-class CertificateShareFailed(RuntimeError):
-    """An interpreter certifying a share of criterion 8 could not start,
-    exited non-zero or printed no readable result."""
-
-
-#: what each extra interpreter of criterion 8 runs; argv[1] is the share as
-#: JSON ``{"tasks": [[kind, n], ...], "seed": seed}``
-_SHARE_PROGRAM = "import sys; from eck.suite import _share_main; sys.exit(_share_main(sys.argv[1]))"
-
-
-def _certificate_failures(tasks, seed: int) -> list[str | None]:
-    """Certify each ``(kind, n)``: ``None`` for a pass, else one failure line."""
-    out: list[str | None] = []
-    for kind, n in tasks:
-        cert = certify(kind, n, seed=seed)
-        if not cert.nonnegative:
-            key, c = cert.witness
-            out.append(f"{kind}_{n} negative term {c} at {key}")
-        elif not cert.roundtrip_ok:
-            out.append(f"{kind}_{n} round trip failed")
-        else:
-            out.append(None)
-    return out
-
-
-def _share_main(job: str) -> int:
-    """Entry point of an extra interpreter: certify one share and print one
-    JSON line, ``{"failures": [...]}`` or ``{"error": "<Type>: <message>"}``."""
-    import json
-
-    share = json.loads(job)
-    try:
-        failures = _certificate_failures(share["tasks"], share["seed"])
-    except Exception as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"}))
-        return 1
-    print(json.dumps({"failures": failures}))
-    return 0
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
-    """Certify CCQ_n and CQ_n for n = 2..max_n in up to one process per
-    usable CPU.  Tasks are ranked by n descending and dealt round-robin;
-    this process certifies share 0 while fresh interpreters certify the
-    others, and the results are put back in task order."""
-    import json
-    import subprocess
-
-    tasks = [(kind, n) for kind in ("CCQ", "CQ") for n in range(2, max_n + 1)]
-    k = max(1, min(len(tasks), _usable_cpus()))
-    ranked = sorted(tasks, key=lambda task: -task[1])
-    shares = [ranked[s::k] for s in range(k)]
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-
-    def label(s: int) -> str:
-        return f"certificate share {s} of {k} ({', '.join(f'{kind}_{n}' for kind, n in shares[s])})"
-
-    def finish(s: int, proc) -> list:
-        out, err = proc.communicate()
-        try:
-            reply = json.loads(out.splitlines()[-1])
-            failures, error = reply.get("failures"), reply.get("error")
-        except (IndexError, ValueError, AttributeError):
-            failures = error = None
-        if proc.returncode == 0 and isinstance(failures, list) and len(failures) == len(shares[s]):
-            return failures
-        lines = err.decode(errors="replace").strip().splitlines()
-        why = error or (lines[-1] if lines else f"exit status {proc.returncode}, no readable result")
-        raise CertificateShareFailed(f"{label(s)}: {why}")
-
-    procs: list = []
-    try:
-        for s in range(1, k):
-            job = json.dumps({"tasks": shares[s], "seed": seed})
-            try:
-                procs.append(
-                    subprocess.Popen(
-                        [sys.executable, "-c", _SHARE_PROGRAM, job],
-                        stdin=subprocess.DEVNULL,
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        env=env,
-                    )
-                )
-            except OSError as exc:
-                raise CertificateShareFailed(f"{label(s)} could not start: {type(exc).__name__}: {exc}") from None
-        results = [_certificate_failures(shares[0], seed)]
-        results += [finish(s, proc) for s, proc in enumerate(procs, 1)]
-    finally:
-        for proc in procs:
-            if proc.returncode is None:
-                proc.kill()
-                proc.communicate()
-    found: dict = {}
-    for share, failures in zip(shares, results):
-        found.update(zip(share, failures))
-    bad = [found[task] for task in tasks if found[task]]
+    """Certify CCQ_n and CQ_n for n = 2..max_n: every coefficient of the
+    positive form is nonnegative and its Horner back-substitution equals
+    the class exactly (``eck certify`` round-trips through the expanded
+    :meth:`SPolynomial.to_ratexpr` instead; the tests hold the two routes
+    equal)."""
+    bad: list[str] = []
+    for kind in ("CCQ", "CQ"):
+        for n in range(2, max_n + 1):
+            spoly = to_positive_form(kind, n)
+            negatives = spoly.negative_terms()
+            original = affine_class(kind, n).at_origin
+            if negatives:
+                key, c = negatives[0]
+                bad.append(f"{kind}_{n} negative term {c} at {key}")
+            elif not spoly.to_ratexpr_horner(original.arity).equivalent(original):
+                bad.append(f"{kind}_{n} round trip failed")
     if bad:
         return False, "; ".join(bad)
     return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"

@@ -11,7 +11,6 @@ from eck.cli import run
 from eck.identities import ResidualTDependence
 from eck.positivity import StructuralRewriteFailed
 from eck.specialize import NonvanishingNegativeUPart, ZeroClass
-from eck.suite import CertificateShareFailed
 
 
 def _json_out(capsys):
@@ -184,7 +183,6 @@ def test_table_runs_are_byte_identical(capsys):
         StructuralRewriteFailed,
         NonvanishingNegativeUPart,
         ZeroClass,
-        CertificateShareFailed,
     ],
 )
 def test_internal_errors_are_one_line(capsys, monkeypatch, error):

@@ -143,6 +143,26 @@ def test_roundtrip_reproduces_reference_class():
             assert got.equivalent(affine_class(kind, n).at_origin)
 
 
+@pytest.mark.parametrize("kind", ["CCQ", "CQ"])
+def test_horner_backsubstitution_equals_the_expanded_route(kind):
+    # two routes to the same numerator: expanded powers and Horner nesting
+    for n in range(2, 8):
+        spoly = to_positive_form(kind, n)
+        arity = GeometryConfig(n).arity
+        expanded, nested = spoly.to_ratexpr(arity), spoly.to_ratexpr_horner(arity)
+        assert nested.den == expanded.den
+        assert nested.num.terms == expanded.num.terms, (kind, n)
+
+
+def test_horner_backsubstitution_of_small_forms():
+    t = _t(1)
+    assert SPolynomial((t,), {}, (t,)).to_ratexpr_horner(1).num.is_zero
+    # delta^2 S_t^3 with nothing below the top exponents
+    spoly = SPolynomial((t,), {(2, 3): 5}, ())
+    assert spoly.to_ratexpr_horner(1).num.terms == spoly.to_ratexpr().num.terms
+    assert cq_step_correction(4).to_ratexpr_horner(3).equivalent(cq_step_correction(4).to_ratexpr())
+
+
 # -- certificates ------------------------------------------------------------
 
 

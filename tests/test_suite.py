@@ -1,17 +1,10 @@
 """The acceptance table itself: its rows, how a failing row reports, and
-criterion 8's split across processes."""
+criterion 8's Horner round trips against the certify() route."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-from eck import identities, suite
+from eck import identities, positivity, suite
 from eck.algebra import RatExpr, SparsePoly
-from eck.cli import run
 from eck.identities import verify
+from eck.positivity import SPolynomial, certify, to_positive_form
 from eck.suite import CRITERIA
 
 
@@ -56,33 +49,16 @@ def test_failing_proj_criterion_names_each_form_once(monkeypatch):
     assert "p_1 (Xc - Qc) differs" in report.note and "p_1 (Q - X) differs" in report.note
 
 
-# -- criterion 8 split across processes -----------------------------------
-
-SRC = str(Path(suite.__file__).resolve().parent.parent)
-
-#: a certify that fails round trips at odd n and nonnegativity at n = 4,
-#: defined as source so a child interpreter can run it too
-_FLAWED = """
-import dataclasses
-import eck.suite as suite
-real_certify = suite.certify
-def certify(kind, n, seed=0):
-    cert = real_certify(kind, n, seed=seed)
-    if n % 2:
-        return dataclasses.replace(cert, roundtrip_ok=False)
-    if n == 4:
-        return dataclasses.replace(cert, nonnegative=False, witness=((0, 1), -1))
-    return cert
-"""
-_SHARE_TAIL = "\nsuite.certify = certify\nimport sys\nsys.exit(suite._share_main(sys.argv[1]))\n"
+# -- criterion 8: Horner round trips against certify() ------------------------
 
 
-def _serial_certificates(max_n: int, seed: int) -> tuple[bool, str]:
-    """The criterion-8 loop as it ran before the split: one process, in order."""
+def _certify_loop(max_n: int, seed: int) -> tuple[bool, str]:
+    """Criterion 8 as ``eck certify`` decides it: certify() with the expanded
+    back-substitution."""
     bad: list[str] = []
     for kind in ("CCQ", "CQ"):
         for n in range(2, max_n + 1):
-            cert = suite.certify(kind, n, seed=seed)
+            cert = certify(kind, n, seed=seed)
             if not cert.nonnegative:
                 key, c = cert.witness
                 bad.append(f"{kind}_{n} negative term {c} at {key}")
@@ -93,86 +69,29 @@ def _serial_certificates(max_n: int, seed: int) -> tuple[bool, str]:
     return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_split_certificates_match_the_serial_loop(monkeypatch, cpus):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
-    assert suite._certificates(6, 0) == _serial_certificates(6, 0)
+def test_certificates_match_the_certify_loop():
+    assert suite._certificates(6, 0) == _certify_loop(6, 0)
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_split_failures_come_back_in_task_order(monkeypatch, cpus):
-    namespace: dict = {}
-    exec(_FLAWED, namespace)
-    monkeypatch.setattr(suite, "certify", namespace["certify"])
-    monkeypatch.setattr(suite, "_SHARE_PROGRAM", _FLAWED + _SHARE_TAIL)
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
-    got = suite._certificates(6, 0)
-    assert got == _serial_certificates(6, 0)
-    assert got[1].startswith("CCQ_3 round trip failed; CCQ_4 negative term -1 at (0, 1); CCQ_5 round trip")
+def test_certificate_failures_come_back_in_task_order(monkeypatch):
+    """A positive form with a negative term at n = 4 and a form that no
+    longer equals its class at odd n: both routes report the same lines."""
 
+    def flawed(kind, n):
+        spoly = to_positive_form(kind, n)
+        terms = dict(spoly.terms)
+        if n == 4:
+            terms[min(terms)] = -1
+        elif n % 2:
+            terms[max(terms)] += 1
+        return SPolynomial(spoly.weights, terms, spoly.den)
 
-_RAISES = (
-    "import sys\nimport eck.suite as suite\nfrom eck.algebra import NotDivisible\n"
-    "def certify(kind, n, seed=0):\n    raise NotDivisible(f'{kind}_{n}: remainder\\non line (0,)')\n"
-) + _SHARE_TAIL.replace("\nimport sys", "")
-
-
-@pytest.mark.parametrize(
-    "program, executable, why",
-    [
-        (_RAISES, None, "NotDivisible: CQ_2: remainder on line (0,)"),
-        ("raise SystemExit(3)", None, "exit status 3, no readable result"),
-        ("print('not json')", None, "exit status 0, no readable result"),
-        ("import sys; sys.stdout.buffer.write(b'\\xff\\n')", None, "exit status 0, no readable result"),
-        ("raise KeyError('lost')", None, "KeyError: 'lost'"),
-        (None, "/nonexistent/python3", "could not start: FileNotFoundError"),
-    ],
-    ids=["raises", "exits", "garbled", "not-utf8", "traceback", "cannot-start"],
-)
-def test_failing_share_is_one_internal_error_line(capsys, monkeypatch, program, executable, why):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
-    if program is not None:
-        monkeypatch.setattr(suite, "_SHARE_PROGRAM", program)
-    if executable is not None:
-        monkeypatch.setattr(sys, "executable", executable)
-    assert run(["table", "--max-n", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal error: CertificateShareFailed: certificate share 1 of 2 (CQ_2)")
-    assert why in captured.err
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-
-
-#: share 2 (CCQ_3, CQ_2) outlives the run unless it is killed; share 1 exits 3
-_SLEEPS_OR_EXITS = (
-    "import json, sys, time\n"
-    "if ['CCQ', 3] in json.loads(sys.argv[1])['tasks']:\n    time.sleep(60)\n"
-    "raise SystemExit(3)\n"
-)
-
-
-@pytest.mark.parametrize(
-    "setup, err",
-    [
-        ("suite._usable_cpus = lambda: 2", ""),
-        (
-            "suite._usable_cpus = lambda: 3; suite._SHARE_PROGRAM = " + repr(_SLEEPS_OR_EXITS),
-            "internal error: CertificateShareFailed: certificate share 1 of 3 (CQ_4, CCQ_2): "
-            "exit status 3, no readable result\n",
-        ),
-    ],
-    ids=["passing-shares", "failing-share"],
-)
-def test_table_closes_every_pipe_and_reaps_every_child(setup, err):
-    program = f"import sys\nimport eck.suite as suite\n{setup}\nfrom eck.cli import run\nsys.exit(run(['table', '--max-n', '4']))\n"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", program],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    monkeypatch.setattr(suite, "to_positive_form", flawed)
+    monkeypatch.setattr(positivity, "to_positive_form", flawed)
+    got = suite._certificates(5, 0)
+    assert got == _certify_loop(5, 0)
+    assert got == (
+        False,
+        "CCQ_3 round trip failed; CCQ_4 negative term -1 at (2, 0, 1, 1, 0); CCQ_5 round trip failed; "
+        "CQ_3 round trip failed; CQ_4 negative term -1 at (0, 1, 1, 1, 1); CQ_5 round trip failed",
     )
-    assert done.returncode == 1
-    assert done.stderr == err
