@@ -4,6 +4,8 @@ and exact round-trips back to the rational-function classes."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eck.algebra import Character, RatExpr, SparsePoly, hfactor_expr
 from eck.hirzebruch import affine_class
@@ -154,13 +156,27 @@ def test_horner_backsubstitution_equals_the_expanded_route(kind):
         assert nested.num.terms == expanded.num.terms, (kind, n)
 
 
-def test_horner_backsubstitution_of_small_forms():
-    t = _t(1)
-    assert SPolynomial((t,), {}, (t,)).to_ratexpr_horner(1).num.is_zero
-    # delta^2 S_t^3 with nothing below the top exponents
-    spoly = SPolynomial((t,), {(2, 3): 5}, ())
-    assert spoly.to_ratexpr_horner(1).num.terms == spoly.to_ratexpr().num.terms
-    assert cq_step_correction(4).to_ratexpr_horner(3).equivalent(cq_step_correction(4).to_ratexpr())
+@st.composite
+def _spolynomials(draw):
+    """Random delta/S forms: repeated and negative weights, exponents up to
+    3, coefficients of both signs, and an odd or even denominator."""
+    arity = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-2, 2)] * arity).filter(any).map(Character)
+    weights = tuple(draw(st.lists(weight, max_size=3)))
+    key = st.tuples(*[st.integers(0, 3)] * (1 + len(weights)))
+    coeff = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    terms = draw(st.dictionaries(key, coeff, max_size=6))
+    den = tuple(w for w in weights if draw(st.booleans()))
+    return arity, SPolynomial(weights, terms, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spolynomials())
+def test_random_horner_backsubstitution_equals_the_expanded_route(case):
+    arity, spoly = case
+    expanded, nested = spoly.to_ratexpr(arity), spoly.to_ratexpr_horner(arity)
+    assert nested.den == expanded.den
+    assert nested.num.terms == expanded.num.terms
 
 
 # -- certificates ------------------------------------------------------------
