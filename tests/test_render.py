@@ -1,8 +1,10 @@
 """Text/LaTeX/JSON presentation layer: frozen strings for each renderer."""
 
+from fractions import Fraction
+
 import pytest
 
-from eck.algebra import Character, RatExpr, SparsePoly
+from eck.algebra import Character, Monomial, RatExpr, SparsePoly
 from eck.hirzebruch import affine_class, projective_class
 from eck.identities import verify
 from eck.positivity import SPolynomial, certify, check_nonnegative, to_positive_form
@@ -60,6 +62,26 @@ def test_rational_strings():
     assert ratexpr_latex(cstar) == r"\frac{T + y T}{\left(1 - T\right)}"
     assert ratexpr_dict(cstar) == {"num": "T + y*T", "den": ["t"]}
     assert poly_latex(cstar.num) == "T + y T"
+
+
+def test_rational_strings_with_fractions_and_repeated_factors():
+    """A fraction and a negative coefficient, y^2, a negative T-exponent and
+    a repeated denominator factor, pinned in both forms."""
+    num = SparsePoly.from_terms(
+        2,
+        [
+            (Monomial(Character((0, 0)), 0), Fraction(5, 3)),
+            (Monomial(Character((2, 1)), 0), 3),
+            (Monomial(Character((0, 0)), 1), -1),
+            (Monomial(Character((0, -1)), 2), Fraction(-1, 2)),
+        ],
+    )
+    e = RatExpr(num, (Character((1, 0)), Character((0, 1)), Character((1, 0))))
+    assert str(e) == "(5/3 + 3*T^2*T1 - y - 1/2*y^2*T1^-1) / (1 - T1) (1 - T)^2"
+    assert ratexpr_latex(e) == (
+        r"\frac{5/3 + 3 T^{2} T_{1} - y - 1/2 y^{2} T_{1}^{-1}}"
+        r"{\left(1 - T_{1}\right) \left(1 - T\right)^{2}}"
+    )
 
 
 def test_recipe_strings():
