@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -128,51 +129,6 @@ class Monomial(NamedTuple):
 def _order_key(m: Monomial) -> tuple:
     """Canonical term order: lexicographic on (ypow, character entries)."""
     return (m.ypow, m.char.coeffs)
-
-
-def signed_join(terms: Iterable[str]) -> str:
-    """Join rendered terms into a sum, turning a leading ``-`` into a minus
-    sign; the empty sum is ``0``.
-
-    >>> signed_join(["y", "-2*T", "1"])
-    'y - 2*T + 1'
-    """
-    parts: list[str] = []
-    for s in terms:
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(f"- {s[1:]}")
-        else:
-            parts.append(f"+ {s}")
-    return " ".join(parts) if parts else "0"
-
-
-def _char_str(w: Character) -> str:
-    parts = []
-    for i, e in enumerate(w.coeffs):
-        if e == 0:
-            continue
-        name = "T" if i == 0 else f"T{i}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _term_str(m: Monomial, c: Coeff) -> str:
-    factors = []
-    if m.ypow:
-        factors.append("y" if m.ypow == 1 else f"y^{m.ypow}")
-    tpart = _char_str(m.char)
-    if tpart:
-        factors.append(tpart)
-    if not factors:
-        return str(c)
-    body = "*".join(factors)
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    return f"{c}*{body}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,7 +471,9 @@ class SparsePoly:
         return SparsePoly(self.arity, {m: _norm(c) for m, c in q.items()})
 
     def __str__(self) -> str:
-        return signed_join(_term_str(m, c) for m, c in self.sorted_terms())
+        from .render import poly_text
+
+        return poly_text(self)
 
     __repr__ = __str__
 
@@ -557,11 +515,14 @@ def _nonzero_at_one(p: SparsePoly) -> bool:
     return any(at_one.values())
 
 
-def _multiset(chars: Iterable[Character]) -> dict[Character, int]:
-    out: dict[Character, int] = {}
-    for w in chars:
-        out[w] = out.get(w, 0) + 1
-    return out
+def _lift(num: SparsePoly, have: Counter, want: Counter) -> SparsePoly:
+    """Lift a numerator over the denominator factors ``have`` to one over the
+    union with ``want``: multiply by ``1 - T^w`` once for each copy of ``w``
+    that ``want`` holds beyond ``have``, in the order of ``want``."""
+    for w, k in want.items():
+        for _ in range(k - have.get(w, 0)):
+            num = num.mul_one_minus(w)
+    return num
 
 
 @dataclass(frozen=True, slots=True)
@@ -639,19 +600,9 @@ class RatExpr:
             return NotImplemented
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} != {other.arity}")
-        mine, theirs = _multiset(self.den), _multiset(other.den)
-        common: dict[Character, int] = dict(mine)
-        for w, k in theirs.items():
-            common[w] = max(common.get(w, 0), k)
-        num_a = self.num
-        num_b = other.num
-        for w, k in common.items():
-            for _ in range(k - mine.get(w, 0)):
-                num_a = num_a.mul_one_minus(w)
-            for _ in range(k - theirs.get(w, 0)):
-                num_b = num_b.mul_one_minus(w)
-        den = [w for w, k in common.items() for _ in range(k)]
-        return RatExpr(num_a + num_b, tuple(den))
+        mine, theirs = Counter(self.den), Counter(other.den)
+        common = mine | theirs
+        return RatExpr(_lift(self.num, mine, common) + _lift(other.num, theirs, common), tuple(common.elements()))
 
     __radd__ = __add__
 
@@ -677,14 +628,6 @@ class RatExpr:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> RatExpr:
-        if k < 0:
-            raise ValueError("negative power of a rational expression")
-        out = RatExpr.one(self.arity)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- normalization and equality ------------------------------------
 
@@ -753,16 +696,8 @@ class RatExpr:
         other = self._coerce(other)
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} != {other.arity}")
-        mine, theirs = _multiset(self.den), _multiset(other.den)
-        left = self.num
-        right = other.num
-        for w, k in theirs.items():
-            for _ in range(k - min(k, mine.get(w, 0))):
-                left = left.mul_one_minus(w)
-        for w, k in mine.items():
-            for _ in range(k - min(k, theirs.get(w, 0))):
-                right = right.mul_one_minus(w)
-        return left.terms == right.terms
+        mine, theirs = Counter(self.den), Counter(other.den)
+        return _lift(self.num, mine, theirs).terms == _lift(other.num, theirs, mine).terms
 
     def witness(self, other, seed: int = 0) -> str:
         """Where two expressions that are not :meth:`equivalent` differ, as
@@ -801,19 +736,9 @@ class RatExpr:
         return RatExpr(self.num.pad_to(arity), tuple(w.padded(arity) for w in self.den))
 
     def __str__(self) -> str:
-        if not self.den:
-            return str(self.num)
-        groups = _multiset(self.den)
-        parts = []
-        for w in sorted(groups, key=lambda w: w.coeffs):
-            k = groups[w]
-            factor = f"(1 - {_char_str(w)})"
-            parts.append(factor if k == 1 else f"{factor}^{k}")
-        den = " ".join(parts)
-        num = str(self.num)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        return f"{num} / {den}"
+        from .render import ratexpr_text
+
+        return ratexpr_text(self)
 
     __repr__ = __str__
 

@@ -1,38 +1,87 @@
 """Plain-text and LaTeX rendering plus JSON-ready serialization.
 
-Weights print additively ("t-t1"), monomials multiplicatively ("T*T1^-1"),
-matching the conventions of the algebra kernel's own ``str``.  Everything
-here is presentation only: no arithmetic, no normalization.
+Weights print additively ("t-t1"), monomials multiplicatively ("T*T1^-1").
+Each object has one renderer, driven by a :class:`_Style` that fixes how
+its format writes products, indexed variables, exponents and fractions;
+``str`` of the kernel's polynomials and rational expressions comes from
+here too.  Everything here is presentation only: no arithmetic, no
+normalization.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import Character, RatExpr, SparsePoly, _char_str, signed_join
-
-
-# -- weights ----------------------------------------------------------------
+from .algebra import Character, Monomial, RatExpr, SparsePoly
 
 
-def _weight_parts(w: Character, latex: bool) -> str:
+class _Style(NamedTuple):
+    """The conventions of one output format."""
+
+    times: str  # between the variables of a monomial
+    cdot: str  # between larger factors: h-factors, S-variables
+    sub: str  # an indexed variable, from (name, index)
+    sup: str  # an exponent
+    paren: str  # the brackets of a denominator factor
+    group: str  # a sum standing as a numerator
+    frac: str  # numerator over denominator
+    delta: str
+    svar: str  # an S-variable, from its weight
+
+    def var(self, name: str, i: int) -> str:
+        return name if i == 0 else self.sub.format(name, i)
+
+    def power(self, base: str, e: int) -> str:
+        return base if e == 1 else base + self.sup.format(e)
+
+
+_TEXT = _Style("*", "*", "{}{}", "^{}", "({})", "({})", "{} / {}", "delta", "S({})")
+_LATEX = _Style(
+    " ", r" \, ", "{}_{{{}}}", "^{{{}}}", r"\left({}\right)", "{}", r"\frac{{{}}}{{{}}}", r"\delta", "S_{{{}}}"
+)
+
+
+def signed_join(terms: Iterable[str]) -> str:
+    """Join rendered terms into a sum, turning a leading ``-`` into a minus
+    sign; the empty sum is ``0``.
+
+    >>> signed_join(["y", "-2*T", "1"])
+    'y - 2*T + 1'
+    """
     parts: list[str] = []
-    for i, e in enumerate(w.coeffs):
-        if e == 0:
-            continue
-        if i == 0:
-            name = "t"
-        elif latex:
-            name = "t_{%d}" % i
-        else:
-            name = f"t{i}"
-        mag = "" if abs(e) == 1 else str(abs(e))
+    for s in terms:
         if not parts:
-            sign = "-" if e < 0 else ""
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(f"- {s[1:]}")
         else:
-            sign = "-" if e < 0 else "+"
-        parts.append(f"{sign}{mag}{name}")
-    return "".join(parts) if parts else "0"
+            parts.append(f"+ {s}")
+    return " ".join(parts) if parts else "0"
+
+
+def _term(c, factors: Sequence[str], sep: str) -> str:
+    """The coefficient ``c`` times the product of ``factors``."""
+    body = sep.join(factors)
+    if not body:
+        return str(c)
+    if c == 1:
+        return body
+    if c == -1:
+        return f"-{body}"
+    return f"{c}{sep}{body}"
+
+
+def _powers(w: Character, style: _Style) -> list[str]:
+    return [style.power(style.var("T", i), e) for i, e in enumerate(w.coeffs) if e]
+
+
+# -- weights and monomials ----------------------------------------------------
+
+
+def _weight(w: Character, style: _Style) -> str:
+    terms = [_term(e, [style.var("t", i)], "") for i, e in enumerate(w.coeffs) if e]
+    return "".join(t if i == 0 or t.startswith("-") else f"+{t}" for i, t in enumerate(terms)) or "0"
 
 
 def weight_text(w: Character) -> str:
@@ -43,7 +92,7 @@ def weight_text(w: Character) -> str:
     >>> weight_text(Character((0, 2)))
     '2t1'
     """
-    return _weight_parts(w, latex=False)
+    return _weight(w, _TEXT)
 
 
 def weight_latex(w: Character) -> str:
@@ -52,7 +101,11 @@ def weight_latex(w: Character) -> str:
     >>> weight_latex(Character((1, 0, -1)))
     't-t_{2}'
     """
-    return _weight_parts(w, latex=True)
+    return _weight(w, _LATEX)
+
+
+def _monomial(w: Character, style: _Style) -> str:
+    return style.times.join(_powers(w, style)) or "1"
 
 
 def monomial_text(w: Character) -> str:
@@ -63,7 +116,7 @@ def monomial_text(w: Character) -> str:
     >>> monomial_text(Character((0, 0)))
     '1'
     """
-    return _char_str(w) or "1"
+    return _monomial(w, _TEXT)
 
 
 def monomial_latex(w: Character) -> str:
@@ -71,65 +124,60 @@ def monomial_latex(w: Character) -> str:
     >>> monomial_latex(Character((2, -1)))
     'T^{2} T_{1}^{-1}'
     """
-    parts = []
-    for i, e in enumerate(w.coeffs):
-        if e == 0:
-            continue
-        name = "T" if i == 0 else f"T_{{{i}}}"
-        parts.append(name if e == 1 else f"{name}^{{{e}}}")
-    return " ".join(parts) if parts else "1"
+    return _monomial(w, _LATEX)
 
 
 # -- polynomials and rational expressions -----------------------------------
 
 
+def _poly_term(m: Monomial, c, style: _Style) -> str:
+    factors = [style.power("y", m.ypow)] if m.ypow else []
+    return _term(c, factors + _powers(m.char, style), style.times)
+
+
+def _poly(p: SparsePoly, style: _Style) -> str:
+    return signed_join(_poly_term(m, c, style) for m, c in p.sorted_terms())
+
+
+def poly_text(p: SparsePoly) -> str:
+    """A sparse Laurent polynomial in y and the T-variables, terms in the
+    kernel's canonical order; this is ``str(p)``."""
+    return _poly(p, _TEXT)
+
+
 def poly_latex(p: SparsePoly) -> str:
     """LaTeX form of a sparse Laurent polynomial in y and the T-variables."""
-    return signed_join(_poly_term_latex(m.ypow, m.char, c) for m, c in p.sorted_terms())
+    return _poly(p, _LATEX)
 
 
-def _poly_term_latex(ypow: int, char: Character, c) -> str:
-    factors: list[str] = []
-    if ypow:
-        factors.append("y" if ypow == 1 else f"y^{{{ypow}}}")
-    if any(char.coeffs):
-        factors.append(monomial_latex(char))
-    body = " ".join(factors)
-    if not body:
-        body = str(abs(c))
-    elif abs(c) != 1:
-        body = f"{abs(c)} {body}"
-    return f"-{body}" if c < 0 else body
+def _den(den: Sequence[Character], style: _Style) -> str:
+    """The factored denominator, equal factors as one power; ``den`` is
+    stored sorted, so the factors keep its order."""
+    return " ".join(style.power(style.paren.format(f"1 - {_monomial(w, style)}"), k) for w, k in Counter(den).items())
+
+
+def _ratexpr(e: RatExpr, style: _Style) -> str:
+    num = _poly(e.num, style)
+    if not e.den:
+        return num
+    if len(e.num.terms) > 1:
+        num = style.group.format(num)
+    return style.frac.format(num, _den(e.den, style))
+
+
+def ratexpr_text(e: RatExpr) -> str:
+    """Numerator over the factored denominator; this is ``str(e)``."""
+    return _ratexpr(e, _TEXT)
 
 
 def ratexpr_latex(e: RatExpr) -> str:
     """Expanded LaTeX: numerator over the factored denominator."""
-    num = poly_latex(e.num)
-    if not e.den:
-        return num
-    den = " ".join(_den_factor_latex(e) for e in _den_multiset(e.den))
-    return rf"\frac{{{num}}}{{{den}}}"
-
-
-def _den_multiset(den: Sequence[Character]) -> list[tuple[Character, int]]:
-    out: list[tuple[Character, int]] = []
-    for w in den:
-        if out and out[-1][0] == w:
-            out[-1] = (w, out[-1][1] + 1)
-        else:
-            out.append((w, 1))
-    return out
-
-
-def _den_factor_latex(pair: tuple[Character, int]) -> str:
-    w, e = pair
-    base = rf"\left(1 - {monomial_latex(w)}\right)"
-    return base if e == 1 else f"{base}^{{{e}}}"
+    return _ratexpr(e, _LATEX)
 
 
 def ratexpr_dict(e: RatExpr) -> dict:
     """JSON-ready form: numerator string plus denominator weight list."""
-    return {"num": str(e.num), "den": [weight_text(w) for w in e.den]}
+    return {"num": poly_text(e.num), "den": [weight_text(w) for w in e.den]}
 
 
 def ypoly_text(p: SparsePoly) -> str:
@@ -140,7 +188,11 @@ def ypoly_text(p: SparsePoly) -> str:
     """
     if not p.is_y_only():
         raise ValueError("polynomial still depends on T-variables")
-    return str(p)
+    return poly_text(p)
+
+
+def _tpoly(coeffs: Sequence[int], style: _Style) -> str:
+    return signed_join(_term(c, [style.power("t", e)] if e else [], "") for e, c in enumerate(coeffs) if c)
 
 
 def tpoly_text(coeffs: Sequence[int]) -> str:
@@ -151,7 +203,7 @@ def tpoly_text(coeffs: Sequence[int]) -> str:
     >>> tpoly_text((1, 0, 1))
     '1 + t^2'
     """
-    return _tpoly(coeffs, tick="t^", one="t")
+    return _tpoly(coeffs, _TEXT)
 
 
 def tpoly_latex(coeffs: Sequence[int]) -> str:
@@ -159,41 +211,27 @@ def tpoly_latex(coeffs: Sequence[int]) -> str:
     >>> tpoly_latex((1, 2, 2, 0, 1))
     '1 + 2t + 2t^{2} + t^{4}'
     """
-    return _tpoly(coeffs, tick="t^{", one="t", close="}")
-
-
-def _tpoly(coeffs: Sequence[int], tick: str, one: str, close: str = "") -> str:
-    def term(e: int, c: int) -> str:
-        if e == 0:
-            body = str(abs(c))
-        else:
-            var = one if e == 1 else f"{tick}{e}{close}"
-            body = var if abs(c) == 1 else f"{abs(c)}{var}"
-        return f"-{body}" if c < 0 else body
-
-    return signed_join(term(e, c) for e, c in enumerate(coeffs) if c)
+    return _tpoly(coeffs, _LATEX)
 
 
 # -- recipes (unexpanded h-factor products) ---------------------------------
 
 
-def _recipe_term(c: int, ypow: int, factors, arg, hname: str, times: str) -> str:
+def _recipe_term(c: int, ypow: int, factors, style: _Style) -> str:
     pieces: list[str] = []
     if ypow and c == (-1) ** (ypow % 2):
         pieces.append(f"(-y)^{ypow}" if ypow > 1 else "(-y)")
-        sign = ""
-    else:
-        sign = "-" if c < 0 else ""
-        if abs(c) != 1:
-            pieces.append(str(abs(c)))
-        if ypow:
-            pieces.append("y" if ypow == 1 else f"y^{ypow}")
+        c = 1
+    elif ypow:
+        pieces.append(f"y^{ypow}" if ypow > 1 else "y")
     for w, minus_one in factors:
-        f = f"{hname}({arg(w)})"
-        pieces.append(f"({f} - 1)" if minus_one else f)
-    if not pieces:
-        pieces.append("1")
-    return sign + times.join(pieces)
+        h = f"h({_monomial(w, style)})"
+        pieces.append(f"({h} - 1)" if minus_one else h)
+    return _term(c, pieces, style.cdot)
+
+
+def _recipe(recipes, style: _Style) -> str:
+    return signed_join(_recipe_term(c, ypow, factors, style) for c, ypow, factors in recipes)
 
 
 def recipe_text(recipes) -> str:
@@ -203,11 +241,11 @@ def recipe_text(recipes) -> str:
     >>> recipe_text(affine_class("CCX", 2).recipes)
     '(h(T*T1) - 1)*(h(T*T1^-1) - 1)'
     """
-    return signed_join(_recipe_term(c, ypow, factors, monomial_text, "h", "*") for c, ypow, factors in recipes)
+    return _recipe(recipes, _TEXT)
 
 
 def recipe_latex(recipes) -> str:
-    return signed_join(_recipe_term(c, ypow, factors, monomial_latex, "h", r" \, ") for c, ypow, factors in recipes)
+    return _recipe(recipes, _LATEX)
 
 
 # -- delta/S positive forms --------------------------------------------------
@@ -218,46 +256,29 @@ def _spoly_term_order(item):
     return (sum(key), -key[0], key[1:])
 
 
-def _spoly_term(key, c, names: Sequence[str], power) -> str:
-    factors: list[str] = []
-    if key[0]:
-        factors.append("delta" if key[0] == 1 else f"delta{power(key[0])}")
-    for name, e in zip(names, key[1:]):
-        if e:
-            factors.append(name if e == 1 else f"{name}{power(e)}")
-    if not factors:
-        return str(c)
-    body = "*".join(factors)
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    return f"{c}*{body}"
+def _spoly(sp, style: _Style) -> str:
+    """Numerator over the product of S-variables, graded order (total degree,
+    then delta-power descending)."""
+    names = [style.svar.format(_weight(w, style)) for w in sp.weights]
+
+    def term(key, c) -> str:
+        factors = [style.power(style.delta, key[0])] if key[0] else []
+        factors += [style.power(name, e) for name, e in zip(names, key[1:]) if e]
+        return _term(c, factors, style.cdot)
+
+    num = signed_join(term(key, c) for key, c in sorted(sp.terms.items(), key=_spoly_term_order))
+    if not sp.den:
+        return num
+    den = " ".join(style.svar.format(_weight(w, style)) for w in sp.den)
+    return style.frac.format(style.group.format(num), den)
 
 
 def spoly_text(sp) -> str:
-    """Numerator over the product of S-variables, graded order (total degree,
-    then delta-power descending)."""
-    names = [f"S({weight_text(w)})" for w in sp.weights]
-    num = signed_join(
-        _spoly_term(key, c, names, lambda e: f"^{e}") for key, c in sorted(sp.terms.items(), key=_spoly_term_order)
-    )
-    if not sp.den:
-        return num
-    den = " ".join(f"S({weight_text(w)})" for w in sp.den)
-    return f"({num}) / {den}"
+    return _spoly(sp, _TEXT)
 
 
 def spoly_latex(sp) -> str:
-    names = [rf"S_{{{weight_latex(w)}}}" for w in sp.weights]
-    num = signed_join(
-        _spoly_term(key, c, names, lambda e: f"^{{{e}}}").replace("delta", r"\delta").replace("*", r" \, ")
-        for key, c in sorted(sp.terms.items(), key=_spoly_term_order)
-    )
-    if not sp.den:
-        return num
-    den = " ".join(rf"S_{{{weight_latex(w)}}}" for w in sp.den)
-    return rf"\frac{{{num}}}{{{den}}}"
+    return _spoly(sp, _LATEX)
 
 
 _LATEX_SPECIALS = str.maketrans(

@@ -66,10 +66,6 @@ class BiSeries:
     def one(cls, order: int) -> BiSeries:
         return cls.make({(0, 0): 1}, order)
 
-    @classmethod
-    def monomial(cls, a: int, b: int, c: Coeff, order: int) -> BiSeries:
-        return cls.make({(a, b): c}, order)
-
     def valuation(self) -> int:
         return min((_totdeg(k) for k in self.terms), default=_BIG)
 

@@ -18,7 +18,7 @@ from .algebra import Character, Monomial, RatExpr, SparsePoly, sample_points
 from .hirzebruch import PROJECTIVE_KINDS, affine_class, projective_class
 from .identities import chi_y, verify
 from .positivity import to_positive_form
-from .specialize import csm_both, diagonalize, multidegree
+from .specialize import csm, csm_closed_family, diagonalize, multidegree
 from .torus import GeometryConfig
 
 
@@ -102,8 +102,8 @@ def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
             if negatives:
                 key, c = negatives[0]
                 bad.append(f"{kind}_{n} negative term {c} at {key}")
-            elif not spoly.to_ratexpr_horner(original.arity).equivalent(original):
-                bad.append(f"{kind}_{n} round trip failed")
+            elif not (back := spoly.to_ratexpr_horner(original.arity)).equivalent(original):
+                bad.append(f"{kind}_{n} round trip failed: back-substitution {back.witness(original, seed)}")
     if bad:
         return False, "; ".join(bad)
     return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"
@@ -113,13 +113,14 @@ def _csm_limits(max_n: int, seed: int) -> tuple[bool, str]:
     parts: list[str] = []
     all_ok = True
     for n in range(2, min(7, max_n) + 1):
-        both = csm_both(n)
-        ok = both["family"] == both["CCQ"]
+        family = csm_closed_family(n)
+        computed = csm(diagonalize(affine_class("CCQ", n)), n)
+        ok = family == computed
         all_ok = all_ok and ok
         if ok:
             parts.append(f"n={n} ok")
         else:
-            parts.append(f"n={n} MISMATCH family={both['family']} computed={both['CCQ']}")
+            parts.append(f"n={n} MISMATCH family={family} computed={computed}")
     return all_ok, "; ".join(parts)
 
 

@@ -83,11 +83,21 @@ def test_dimension_cap(capsys, monkeypatch):
 
     monkeypatch.setenv("ECK_MAX_N", "4")
     assert run(["csm", "--n", "6"]) == 2
-    capsys.readouterr()
+    assert "n=6 exceeds the bound 4" in capsys.readouterr().err
 
     monkeypatch.setenv("ECK_MAX_N", "banana")
     assert run(["csm", "--n", "2"]) == 2
     assert "ECK_MAX_N" in capsys.readouterr().err
+
+
+def test_a_low_bound_leaves_subcommands_without_max_n_alone(capsys, monkeypatch):
+    """The default --max-n of 8 belongs to ``table`` only, so a bound below 8
+    does not refuse the other subcommands."""
+    monkeypatch.setenv("ECK_MAX_N", "4")
+    assert run(["csm", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["table", "--max-n", "5"]) == 2
+    assert "--max-n 5 exceeds the bound 4" in capsys.readouterr().err
 
 
 def test_failed_latex_verify_row_carries_its_escaped_witness(capsys, monkeypatch):

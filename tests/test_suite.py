@@ -63,7 +63,7 @@ def _certify_loop(max_n: int, seed: int) -> tuple[bool, str]:
                 key, c = cert.witness
                 bad.append(f"{kind}_{n} negative term {c} at {key}")
             elif not cert.roundtrip_ok:
-                bad.append(f"{kind}_{n} round trip failed")
+                bad.append(f"{kind}_{n} round trip failed: back-substitution {cert.roundtrip_note}")
     if bad:
         return False, "; ".join(bad)
     return True, f"CCQ and CQ, n=2..{max_n}: all coefficients nonnegative, all round trips exact"
@@ -92,6 +92,14 @@ def test_certificate_failures_come_back_in_task_order(monkeypatch):
     assert got == _certify_loop(5, 0)
     assert got == (
         False,
-        "CCQ_3 round trip failed; CCQ_4 negative term -1 at (2, 0, 1, 1, 0); CCQ_5 round trip failed; "
-        "CQ_3 round trip failed; CQ_4 negative term -1 at (0, 1, 1, 1, 1); CQ_5 round trip failed",
+        "CCQ_3 round trip failed: back-substitution differs at T=(17/37, 2/11), y=7/8: "
+        "-404062347/43160576 != -119556597/43160576; "
+        "CCQ_4 negative term -1 at (2, 0, 1, 1, 0); "
+        "CCQ_5 round trip failed: back-substitution differs at T=(43/17, 41/2, 11/23), y=6/7: "
+        "55377147341549/1727300617637 != 93535928101012/1727300617637; "
+        "CQ_3 round trip failed: back-substitution differs at T=(17/37, 2/11), y=7/8: "
+        "-2933911/674384 != -2438911/674384; "
+        "CQ_4 negative term -1 at (0, 1, 1, 1, 1); "
+        "CQ_5 round trip failed: back-substitution differs at T=(43/17, 41/2, 11/23), y=6/7: "
+        "36377147371/6018469051 != -6142149871716/246757231091",
     )
