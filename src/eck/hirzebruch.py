@@ -24,13 +24,20 @@ is built by shift-and-add: every factor's numerator is a sum of two unit
 monomials, so multiplying by it adds two shifted copies of a dict keyed by
 flat ``(ypow, e_0, ..., e_m)`` exponent tuples, and no generic polynomial
 product is formed.
+
+:func:`projective_class` and :func:`affine_class` build each class once per
+process: the result is cached on the normalized ``(kind, n, geometry)``,
+returned to every caller as the same read-only object, and its monomials
+share one table of :class:`Character` objects with every other cached class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .algebra import (
     Character,
@@ -113,6 +120,29 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     return out.reduced() if len(terms) > 1 else out
 
 
+#: one object per distinct character among the values of the cached classes
+_CHARACTERS: dict[Character, Character] = {}
+
+
+def _shared(expr: RatExpr) -> RatExpr:
+    """``expr`` with every character taken from the shared table, so that the
+    cached classes hold one :class:`Character` per distinct character; the
+    terms and the denominator keep their order."""
+    share = _CHARACTERS.setdefault
+    num = {Monomial(share(m.char, m.char), m.ypow): c for m, c in expr.num.terms.items()}
+    return RatExpr(SparsePoly(expr.arity, num), tuple(share(w, w) for w in expr.den))
+
+
+def _cache_clear(build) -> Callable[[], None]:
+    """Empty the cache of ``build`` and the shared character table."""
+
+    def cache_clear() -> None:
+        build.cache_clear()
+        _CHARACTERS.clear()
+
+    return cache_clear
+
+
 @dataclass(frozen=True, slots=True)
 class LocalClass:
     """A class localized at torus fixed points.
@@ -120,7 +150,9 @@ class LocalClass:
     Projective classes store one value per fixed point of P^{n-1}; affine
     (cone) classes store the single value at the origin.  ``recipes`` holds
     the unevaluated product combinations used to build each value.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share: the class constructors return
+    ``values`` and per-point ``recipes`` as read-only ``MappingProxyType``
+    views.
     """
 
     geometry: GeometryConfig
@@ -199,6 +231,23 @@ def _projective_terms(kind: str, geo: GeometryConfig, nsub: int, i: int) -> list
     raise ValueError(f"unknown projective kind {kind!r}")
 
 
+@cache
+def _build_projective(kind: str, n: int, geo: GeometryConfig) -> LocalClass:
+    values: dict[int, RatExpr] = {}
+    recipes: dict[int, tuple[ProductTerm, ...]] = {}
+    for i in geo.indices:
+        terms = tuple(_projective_terms(kind, geo, n, i))
+        recipes[i] = terms
+        values[i] = _shared(sum_of_products(geo.arity, terms))
+    return LocalClass(
+        geometry=geo,
+        space=kind,
+        n=n,
+        values=MappingProxyType(values),
+        recipes=MappingProxyType(recipes),
+    )
+
+
 def projective_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> LocalClass:
     """Localized class of a projective space `kind` for the quadric family
     in P^{n-1}.
@@ -207,20 +256,19 @@ def projective_class(kind: str, n: int, ambient: GeometryConfig | None = None) -
     parity) the space is embedded in P^{ambient.n - 1} via the first
     coordinates; its class takes the value 0 at fixed points off the
     subspace.
+
+    The class is built once per process and shared, read-only, by every
+    caller; ``projective_class.cache_clear()`` frees the cache.
     """
     if kind not in PROJECTIVE_KINDS:
         raise ValueError(f"unknown projective kind {kind!r}; expected one of {PROJECTIVE_KINDS}")
     floor = {"P": 1, "Q": 0, "Qc": 0, "X": 2, "Xc": 2}[kind]
     if n < floor:
         raise ValueError(f"kind {kind} needs n >= {floor}")
-    geo = ambient if ambient is not None else GeometryConfig(n)
-    values: dict[int, RatExpr] = {}
-    recipes: dict[int, tuple[ProductTerm, ...]] = {}
-    for i in geo.indices:
-        terms = tuple(_projective_terms(kind, geo, n, i))
-        recipes[i] = terms
-        values[i] = sum_of_products(geo.arity, terms)
-    return LocalClass(geometry=geo, space=kind, n=n, values=values, recipes=recipes)
+    return _build_projective(kind, n, ambient if ambient is not None else GeometryConfig(n))
+
+
+projective_class.cache_clear = _cache_clear(_build_projective)
 
 
 # -- affine (cone) classes ---------------------------------------------------
@@ -280,26 +328,36 @@ def _affine_terms(kind: str, geo: GeometryConfig, nsub: int) -> list[ProductTerm
     raise ValueError(f"unknown affine kind {kind!r}")
 
 
+@cache
+def _build_affine(kind: str, n: int, geo: GeometryConfig) -> LocalClass:
+    terms = tuple(_affine_terms(kind, geo, n))
+    return LocalClass(
+        geometry=geo,
+        space=kind,
+        n=n,
+        at_origin=_shared(sum_of_products(geo.arity, terms)),
+        recipes=terms,
+    )
+
+
 def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> LocalClass:
     """Localized class (at the origin) of an affine `kind` for the quadric
     cone family in C^n, optionally embedded in C^{ambient.n}.
 
     Conventions for the degenerate sizes: CQ_0 and CQ_1 are the origin
     (class 1), CCQ_0 is empty (class 0), CCQ_1 is C* in the x_0 line.
+
+    The class is built once per process and shared, read-only, by every
+    caller; ``affine_class.cache_clear()`` frees the cache.
     """
     if kind not in AFFINE_KINDS:
         raise ValueError(f"unknown affine kind {kind!r}; expected one of {AFFINE_KINDS}")
     if n < 0 or (kind in ("CCX", "CX") and n < 2):
         raise ValueError(f"kind {kind} needs n >= {2 if kind in ('CCX', 'CX') else 0}")
-    geo = ambient if ambient is not None else GeometryConfig(n)
-    terms = tuple(_affine_terms(kind, geo, n))
-    return LocalClass(
-        geometry=geo,
-        space=kind,
-        n=n,
-        at_origin=sum_of_products(geo.arity, terms),
-        recipes=terms,
-    )
+    return _build_affine(kind, n, ambient if ambient is not None else GeometryConfig(n))
+
+
+affine_class.cache_clear = _cache_clear(_build_affine)
 
 
 def cone_pushforward(cls: LocalClass) -> RatExpr:

@@ -1,6 +1,8 @@
 """Localized classes: fixed-point values of the projective family and the
-origin values of the cone family, with the frozen per-point product forms."""
+origin values of the cone family, with the frozen per-point product forms,
+and the process-wide cache that shares each built class."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from eck.hirzebruch import (
     smooth_local,
     sum_of_products,
 )
+from eck.cli import run
 from eck.identities import ystar_terms
 from eck.torus import GeometryConfig
 
@@ -374,3 +377,83 @@ def test_zero_weight_is_rejected_even_with_a_zero_coefficient():
     for c in (0, 1):
         with pytest.raises(DivisionByZero, match="h-factor of the zero weight"):
             sum_of_products(2, [(c, 0, ((ch(1, 0), False), (ch(0, 0), True)))])
+
+
+# -- the class cache ---------------------------------------------------------
+
+
+def _clear_caches() -> None:
+    projective_class.cache_clear()
+    affine_class.cache_clear()
+
+
+def _points(cls) -> dict:
+    return dict(cls.values) if cls.is_projective else {"origin": cls.at_origin}
+
+
+def _assert_same_terms(got: RatExpr, want: RatExpr) -> None:
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert got.den == want.den
+
+
+def test_calls_share_one_cached_class():
+    """Positional, keyword and ``ambient=None`` calls are one cache key."""
+    for build, kind, n in ((projective_class, "Qc", 4), (affine_class, "CCQ", 5)):
+        first = build(kind, n)
+        assert build(kind=kind, n=n) is first
+        assert build(kind, n, None) is first
+        assert build(kind, n, ambient=None) is first
+        assert build(kind, n, ambient=GeometryConfig(n)) is first
+
+
+def test_cached_classes_are_read_only():
+    cls = projective_class("Q", 4)
+    with pytest.raises(TypeError):
+        cls.values[1] = RatExpr.zero(cls.geometry.arity)
+    with pytest.raises(TypeError):
+        cls.recipes[1] = ()
+    with pytest.raises(TypeError):
+        affine_class("CQ", 4).recipes[0] = ()
+
+
+_CACHE_CASES = (
+    [(projective_class, kind, n, None) for kind in PROJECTIVE_KINDS for n in range(_FLOORS[kind], 7)]
+    + [(affine_class, kind, n, None) for kind in AFFINE_KINDS for n in range(2 if kind in ("CX", "CCX") else 0, 7)]
+    + [(projective_class, "Qc", 4, GeometryConfig(6)), (affine_class, "CCQ", 3, GeometryConfig(5))]
+)
+
+
+def test_cold_builds_equal_cached_classes():
+    """A build after ``cache_clear()`` equals the cached class term by term,
+    and both equal the unshared evaluation of the class's own recipes."""
+    warm = [build(kind, n, ambient) for build, kind, n, ambient in _CACHE_CASES]
+    _clear_caches()
+    for (build, kind, n, ambient), cached in zip(_CACHE_CASES, warm):
+        cold = build(kind, n, ambient)
+        assert cold is not cached and cold == cached, (kind, n)
+        recipes = cached.recipes if cached.is_projective else {"origin": cached.recipes}
+        for point, value in _points(cached).items():
+            _assert_same_terms(_points(cold)[point], value)
+            _assert_same_terms(value, sum_of_products(cached.geometry.arity, recipes[point]))
+
+
+def test_cached_values_share_characters():
+    seen: dict[Character, Character] = {}
+    for cls in (projective_class("Q", 5), projective_class("Xc", 5), affine_class("CQ", 5)):
+        for value in _points(cls).values():
+            for w in [m.char for m in value.num.terms] + list(value.den):
+                assert seen.setdefault(w, w) is w
+
+
+def _table_json(capsys) -> dict:
+    run(["table", "--max-n", "6", "--format", "json", "--timings"])
+    out = json.loads(capsys.readouterr().out)
+    for entry in out["results"]:
+        del entry["timing_ms"]
+    return out
+
+
+def test_table_output_is_the_same_from_a_cold_and_a_warm_cache(capsys):
+    _clear_caches()
+    cold = _table_json(capsys)
+    assert _table_json(capsys) == cold
