@@ -25,7 +25,6 @@ from .hirzebruch import (
     affine_class,
     cone_pushforward,
     projective_class,
-    smooth_local,
 )
 from .identities import (
     FORMULAS,
@@ -98,7 +97,6 @@ __all__ = [
     "projective_class",
     "property_suite",
     "run_all",
-    "smooth_local",
     "to_positive_form",
     "verify",
 ]

@@ -97,11 +97,6 @@ def _product(arity: int, c: int, k: int, factors: Iterable[tuple[Character, bool
     return RatExpr(SparsePoly(arity, num), tuple(den))
 
 
-def smooth_local(weights: Iterable[Character], arity: int) -> RatExpr:
-    """Localized class of a smooth germ with the given tangent weights."""
-    return _product(arity, 1, 0, tuple((w, False) for w in weights))
-
-
 def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     """Evaluate a recipe ``sum c * y^k * prod(h(+/-1))`` to a RatExpr.
 
@@ -165,11 +160,6 @@ class LocalClass:
     @property
     def is_projective(self) -> bool:
         return self.values is not None
-
-    def value_at(self, point: int) -> RatExpr:
-        if not self.is_projective:
-            raise ValueError("affine class has a single value at the origin")
-        return self.values[point]
 
 
 # -- projective classes ----------------------------------------------------
@@ -363,7 +353,7 @@ affine_class.cache_clear = _cache_clear(_build_affine)
 def cone_pushforward(cls: LocalClass) -> RatExpr:
     """Push the class of an open subvariety Y' of P^{n-1} down the blowup of
     the cone: the value at the cone point is
-    ``sum_i (h(T^{t + t_i}) - 1) * value_at(p_i)``.
+    ``sum_i (h(T^{t + t_i}) - 1) * values[i]``.
 
     The factor comes from localizing ``td(O(-1)) - c_1(O(-1))`` on the
     exceptional divisor; the pushforward is linear and sends the zero class

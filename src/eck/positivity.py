@@ -14,9 +14,10 @@ coefficient is scanned.  A certificate is only accepted together with an
 exact round trip: substituting S_w = T^w - 1, delta = -1 - y must reproduce
 the original class as a rational function.
 
-* CCQ: each peeling term (-y)^k * CCX_{n-2k} has coefficient
-  (-y)^k * (-1)^k = (1 + delta)^k and a product of the two blocks above;
-  numerators over the missing coordinates are lifted by their S_w.
+* CCQ (and any other class recipe): :func:`recipe_form` translates each
+  recipe term c * y^k * prod(h or h - 1) into c * (-1)^k * (1 + delta)^k
+  times the numerators of its blocks, lifted by the S_w of the weights its
+  factors leave out, so all terms share the denominator prod S_w.
 * CQ: the recursion CQ_n = (1+delta)*CQ_{n-2}
   + C^{n-2} * delta*(T^2 - 1)/(S_{t+t_m} S_{t-t_m}), where T^2 - 1 is
   rewritten through ambient weights: (S_t + 1)^2 - 1 = S_t^2 + 2 S_t when
@@ -27,10 +28,10 @@ the original class as a rational function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import Character, Coeff, RatExpr, SparsePoly, _norm
-from .hirzebruch import affine_class, ccq_terms
+from .hirzebruch import ProductTerm, affine_class
 from .torus import GeometryConfig, ambient_weights
 
 SKey = tuple[int, ...]  # (delta exponent, S-exponent per weight)
@@ -99,10 +100,6 @@ class SPolynomial:
     def negative_terms(self) -> list[tuple[SKey, Coeff]]:
         return [(k, c) for k, c in self.sorted_terms() if c < 0]
 
-    def delta_zero_part(self) -> SPolynomial:
-        kept = {k: c for k, c in self.terms.items() if k[0] == 0}
-        return SPolynomial(self.weights, kept, self.den)
-
     def to_ratexpr(self, arity: int | None = None) -> RatExpr:
         """Back-substitute S_w = T^w - 1 and delta = -1 - y.
 
@@ -143,10 +140,8 @@ class SPolynomial:
         shift and a subtraction, and by delta = -1 - y it is -(p + y p), so
         no power of a variable is ever expanded.
 
-        >>> from .torus import GeometryConfig
-        >>> t = GeometryConfig(1).affine_weight(0)
-        >>> print(h_in_s((t,), t).to_ratexpr_horner(1))
-        (1 + y*T) / (1 - T)
+        >>> print(to_positive_form("CQ", 2).to_ratexpr_horner(2))
+        (1 - T^2 + y*T*T1^-1 + y*T*T1 - 2*y*T^2) / (1 - T*T1^-1) (1 - T*T1)
         """
         zero = Character.zero(arity)
         steps = [lambda p: -(p + p.shifted(zero, 1))]
@@ -229,35 +224,41 @@ def _one_plus_delta_power(width: int, k: int) -> dict:
     return out
 
 
-def h_in_s(weights: tuple[Character, ...], w: Character) -> SPolynomial:
-    """``h(T^w) = (S_w + delta (S_w + 1)) / S_w`` in the given variable set.
-
-    >>> from .torus import GeometryConfig
-    >>> t = GeometryConfig(1).affine_weight(0)
-    >>> print(h_in_s((t,), t))
-    (delta + S(t) + delta*S(t)) / S(t)
-    """
-    i = _weight_index(weights, w)
-    return SPolynomial(weights, _h_num(1 + len(weights), i), (w,))
-
-
-def h_minus_one_in_s(weights: tuple[Character, ...], w: Character) -> SPolynomial:
-    """``h(T^w) - 1 = delta (S_w + 1) / S_w``, the punctured-line block.
-
-    >>> from .torus import GeometryConfig
-    >>> t = GeometryConfig(1).affine_weight(0)
-    >>> print(h_minus_one_in_s((t,), t))
-    (delta + delta*S(t)) / S(t)
-    """
-    i = _weight_index(weights, w)
-    return SPolynomial(weights, _h_minus_one_num(1 + len(weights), i), (w,))
-
-
 def _weight_index(weights: tuple[Character, ...], w: Character) -> int:
     for i, cand in enumerate(weights):
         if cand == w:
             return i
     raise StructuralRewriteFailed(f"weight {w.coeffs} is not an ambient S-variable")
+
+
+def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) -> dict:
+    """Numerator over ``prod S_w`` (w over ``weights``) of a class recipe
+    ``sum c * y^k * prod(h or h - 1)``.
+
+    Each term becomes ``c * (-1)^k * (1 + delta)^k`` times the numerators of
+    its blocks, lifted by the S-variables of the weights its factors leave
+    out.  Raises StructuralRewriteFailed for a factor whose weight is not
+    among ``weights``.
+
+    >>> t = GeometryConfig(1).affine_weight(0)
+    >>> recipe_form([(1, 0, ((t, False),))], (t,))
+    {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    >>> recipe_form([(1, 0, ((t, True),))], (t,))
+    {(1, 0): 1, (1, 1): 1}
+    """
+    width = 1 + len(weights)
+    total: dict = {}
+    for c, k, factors in recipes:
+        part = _dict_scale(_one_plus_delta_power(width, k), c * (-1) ** k)
+        left_out = list(weights)
+        for w, minus_one in factors:
+            i = _weight_index(weights, w)
+            left_out.remove(w)
+            part = _dict_mul(part, _h_minus_one_num(width, i) if minus_one else _h_num(width, i))
+        for w in left_out:  # lift to the common denominator prod S_w
+            part = _dict_mul(part, _s_var(width, _weight_index(weights, w)))
+        total = _dict_add(total, part)
+    return total
 
 
 def product_of_weights_minus_one(weights: tuple[Character, ...], combo: Mapping[Character, int]) -> dict:
@@ -309,28 +310,6 @@ def _correction_num(geo: GeometryConfig, weights: tuple[Character, ...], msub: i
     return _dict_mul(delta, product_of_weights_minus_one(weights, combo))
 
 
-def _ccq_spoly_terms(geo: GeometryConfig, weights: tuple[Character, ...]) -> dict:
-    """pos1: expand the CCQ peeling recipe with h-blocks in delta/S form and
-    lift each summand by the S-variables of its missing coordinates."""
-    width = 1 + len(weights)
-    total: dict = {}
-    for c, ypow, factors in ccq_terms(geo, tuple(range(1, geo.m + 1)), geo.odd):
-        scalar = c * (-1) ** ypow  # (-y)^ypow = (1+delta)^ypow times this sign
-        part = _dict_scale(_one_plus_delta_power(width, ypow), scalar)
-        used: list[Character] = []
-        for w, minus_one in factors:
-            i = _weight_index(weights, w)
-            part = _dict_mul(part, _h_minus_one_num(width, i) if minus_one else _h_num(width, i))
-            used.append(w)
-        remaining = list(weights)
-        for w in used:
-            remaining.remove(w)
-        for w in remaining:  # lift to the common denominator prod S_w
-            part = _dict_mul(part, _s_var(width, _weight_index(weights, w)))
-        total = _dict_add(total, part)
-    return total
-
-
 def _cq_spoly_num(geo: GeometryConfig, weights: tuple[Character, ...], nsub: int) -> dict:
     """pos2 recursion for the numerator of CQ_nsub over ``prod S_w`` (w
     ranging over the weights of C^nsub): the cone-point bases are 1 and, for
@@ -365,12 +344,11 @@ def to_positive_form(kind: str, n: int) -> SPolynomial:
         raise ValueError(f"positive forms cover kinds CCQ and CQ, not {kind!r}")
     if n < 2:
         raise ValueError("positive forms need n >= 2")
-    geo = GeometryConfig(n)
     weights = tuple(ambient_weights(n))
     if kind == "CCQ":
-        num = _ccq_spoly_terms(geo, weights)
+        num = recipe_form(affine_class("CCQ", n).recipes, weights)
     else:
-        num = _cq_spoly_num(geo, weights, n)
+        num = _cq_spoly_num(GeometryConfig(n), weights, n)
     return SPolynomial(weights, num, weights)
 
 

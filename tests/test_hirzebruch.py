@@ -16,7 +16,6 @@ from eck.hirzebruch import (
     affine_class,
     cone_pushforward,
     projective_class,
-    smooth_local,
     sum_of_products,
 )
 from eck.cli import run
@@ -28,27 +27,32 @@ def ch(*coeffs: int) -> Character:
     return Character(tuple(coeffs))
 
 
+def smooth_germ(weights, arity: int) -> RatExpr:
+    """Localized class of a smooth germ: the one-term recipe prod h(T^w)."""
+    return sum_of_products(arity, [(1, 0, tuple((w, False) for w in weights))])
+
+
 # -- building blocks ---------------------------------------------------------
 
 
 def test_smooth_local_point():
-    assert smooth_local((), 1).equivalent(RatExpr.one(1))
+    assert smooth_germ((), 1).equivalent(RatExpr.one(1))
 
 
 def test_smooth_local_single_line():
     t = ch(1)
-    got = smooth_local((t,), 1)
+    got = smooth_germ((t,), 1)
     assert got.equivalent(hfactor_expr(t))
 
 
 def test_smooth_local_pair():
     a, b = ch(1, 1), ch(1, -1)
-    assert smooth_local((a, b), 2).equivalent(hfactor_expr(a) * hfactor_expr(b))
+    assert smooth_germ((a, b), 2).equivalent(hfactor_expr(a) * hfactor_expr(b))
 
 
 def test_smooth_local_rejects_zero_weight():
     with pytest.raises(DivisionByZero):
-        smooth_local((ch(0, 0),), 2)
+        smooth_germ((ch(0, 0),), 2)
 
 
 def test_hfactor_collapses_at_y_minus_one():
@@ -112,7 +116,7 @@ def test_closed_quadric_matches_smooth_tangent_product():
             weights = tuple(
                 geo.proj_weight(j) - wi for j in geo.indices if j not in (i, -i)
             )
-            assert cls.values[i].equivalent(smooth_local(weights, geo.arity))
+            assert cls.values[i].equivalent(smooth_germ(weights, geo.arity))
 
 
 def test_odd_center_point_off_quadric():
@@ -173,12 +177,6 @@ def test_projective_floors():
         projective_class("banana", 4)
 
 
-def test_value_at_guards():
-    cls = affine_class("CCQ", 4)
-    with pytest.raises(ValueError):
-        cls.value_at(1)
-
-
 # -- affine classes ----------------------------------------------------------
 
 
@@ -216,7 +214,7 @@ def test_quadric_cone_complement_n3_has_axis_term():
 
 def test_whole_space_class():
     geo = GeometryConfig(3)
-    expect = smooth_local(tuple(geo.affine_weight(j) for j in geo.indices), geo.arity)
+    expect = smooth_germ(tuple(geo.affine_weight(j) for j in geo.indices), geo.arity)
     assert affine_class("Cn", 3).at_origin.equivalent(expect)
 
 

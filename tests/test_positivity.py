@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eck.algebra import Character, RatExpr, SparsePoly, hfactor_expr
-from eck.hirzebruch import affine_class
+from eck.hirzebruch import AFFINE_KINDS, PROJECTIVE_KINDS, affine_class, projective_class
 from eck.positivity import (
     SPolynomial,
     StructuralRewriteFailed,
+    _cq_spoly_num,
     certify,
     check_nonnegative,
     cq_step_correction,
-    h_in_s,
-    h_minus_one_in_s,
     product_of_weights_minus_one,
+    recipe_form,
     to_positive_form,
 )
-from eck.torus import GeometryConfig
+from eck.torus import GeometryConfig, ambient_weights
 
 
 def _t(arity: int) -> Character:
@@ -31,16 +31,20 @@ def _t(arity: int) -> Character:
 
 
 def test_h_block_terms():
+    # one-factor recipes: h and h - 1 over S_t, and y = -(1 + delta)
     t = _t(1)
-    assert dict(h_in_s((t,), t).terms) == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert dict(h_minus_one_in_s((t,), t).terms) == {(1, 0): 1, (1, 1): 1}
-    assert h_in_s((t,), t).den == (t,)
+    assert recipe_form([(1, 0, ((t, False),))], (t,)) == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert recipe_form([(1, 0, ((t, True),))], (t,)) == {(1, 0): 1, (1, 1): 1}
+    assert recipe_form([(2, 1, ())], ()) == {(0,): -2, (1,): -2}
+    # a weight the term leaves out lifts it by its S-variable
+    u = Character((2,))
+    assert recipe_form([(1, 0, ((t, True),))], (t, u)) == {(1, 0, 1): 1, (1, 1, 1): 1}
 
 
 def test_h_block_needs_ambient_weight():
     t = _t(1)
     with pytest.raises(StructuralRewriteFailed):
-        h_in_s((t,), t.scaled(2))
+        recipe_form([(1, 0, ((t.scaled(2), False),))], (t,))
 
 
 def test_pair_monomial_minus_one_expansion():
@@ -123,8 +127,8 @@ def test_delta_zero_parts():
     # at y = -1 the cone complement vanishes and the closed cone is the
     # full-space class; structurally: no delta-free terms vs one such term
     for n in (2, 3, 4, 5):
-        assert to_positive_form("CCQ", n).delta_zero_part().terms == {}
-        kept = to_positive_form("CQ", n).delta_zero_part().terms
+        assert not [k for k in to_positive_form("CCQ", n).terms if k[0] == 0]
+        kept = {k: c for k, c in to_positive_form("CQ", n).terms.items() if k[0] == 0}
         ((key, coeff),) = kept.items()
         assert coeff == 1 and key[0] == 0 and all(e == 1 for e in key[1:])
 
@@ -154,6 +158,49 @@ def test_horner_backsubstitution_equals_the_expanded_route(kind):
         expanded, nested = spoly.to_ratexpr(arity), spoly.to_ratexpr_horner(arity)
         assert nested.den == expanded.den
         assert nested.num.terms == expanded.num.terms, (kind, n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_cq_recipe_form_equals_the_recursion_at_even_n(n):
+    # two routes to CQ_n: the paper's recursion and additivity CQ = Cn - CCQ
+    weights = tuple(ambient_weights(n))
+    recipe = recipe_form(affine_class("CQ", n).recipes, weights)
+    assert recipe == _cq_spoly_num(GeometryConfig(n), weights, n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cq_routes_differ_at_odd_n_and_both_certify(n):
+    # the recursion rewrites T^2 - 1 through S_t twice, additivity does not
+    geo = GeometryConfig(n)
+    weights = tuple(ambient_weights(n))
+    original = affine_class("CQ", n).at_origin
+    recipe = recipe_form(affine_class("CQ", n).recipes, weights)
+    recursion = _cq_spoly_num(geo, weights, n)
+    assert recipe != recursion
+    for num in (recipe, recursion):
+        spoly = SPolynomial(weights, num, weights)
+        assert not spoly.negative_terms()
+        assert spoly.to_ratexpr_horner(geo.arity).equivalent(original)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_class_recipe_has_a_positive_form(n):
+    # affine kinds over the ambient weights; projective kinds at every point
+    # where they do not vanish, over that point's tangent weights
+    geo = GeometryConfig(n)
+    cases = []
+    for kind in AFFINE_KINDS:
+        cls = affine_class(kind, n)
+        cases.append(((kind, "origin"), cls.recipes, tuple(ambient_weights(n)), cls.at_origin))
+    for kind in PROJECTIVE_KINDS:
+        cls = projective_class(kind, n)
+        for i, value in cls.values.items():
+            if not value.num.is_zero:
+                cases.append(((kind, i), cls.recipes[i], geo.tangent_weights(i), value))
+    for subject, recipe, weights, value in cases:
+        spoly = SPolynomial(weights, recipe_form(recipe, weights), weights)
+        assert spoly.terms and all(c > 0 for c in spoly.terms.values()), subject
+        assert spoly.to_ratexpr_horner(geo.arity).equivalent(value), subject
 
 
 @st.composite
