@@ -197,7 +197,12 @@ def _one(width: int) -> dict:
 
 
 def _h_num(width: int, i: int) -> dict:
-    """Numerator of h over S_{w_i}: delta + (1 + delta) S_{w_i}."""
+    """Numerator of h over S_{w_i}: delta + (1 + delta) S_{w_i}.
+
+    >>> t = GeometryConfig(1).affine_weight(0)
+    >>> print(SPolynomial((t,), _h_num(2, 0), (t,)))
+    (delta + S(t) + delta*S(t)) / S(t)
+    """
     d = tuple(1 if j == 0 else 0 for j in range(width))
     s = tuple(1 if j == 1 + i else 0 for j in range(width))
     ds = tuple(x + y for x, y in zip(d, s))
@@ -205,7 +210,12 @@ def _h_num(width: int, i: int) -> dict:
 
 
 def _h_minus_one_num(width: int, i: int) -> dict:
-    """Numerator of h - 1 over S_{w_i}: delta (1 + S_{w_i})."""
+    """Numerator of h - 1 over S_{w_i}: delta (1 + S_{w_i}).
+
+    >>> t = GeometryConfig(1).affine_weight(0)
+    >>> print(SPolynomial((t,), _h_minus_one_num(2, 0), (t,)))
+    (delta + delta*S(t)) / S(t)
+    """
     d = tuple(1 if j == 0 else 0 for j in range(width))
     s = tuple(1 if j == 1 + i else 0 for j in range(width))
     ds = tuple(x + y for x, y in zip(d, s))
