@@ -137,7 +137,7 @@ class SparsePoly:
 
     ``terms`` maps :class:`Monomial` to a nonzero coefficient.  Instances are
     treated as immutable: every operation returns a new polynomial, so values
-    can be shared freely (including across worker threads).
+    can be shared freely.
 
     >>> T = SparsePoly.monomial(Character((1,)))
     >>> y = SparsePoly.y_power(1)
@@ -476,6 +476,118 @@ class SparsePoly:
         return poly_text(self)
 
     __repr__ = __str__
+
+
+# -- the packed one-variable ring ---------------------------------------------
+
+
+def weight_box(weights: Iterable[Character], arity: int) -> tuple[list[int], list[int]]:
+    """Per-coordinate bounds ``(lo, hi)`` of the Newton box of
+    ``prod (1 - T^w)`` over ``weights`` (with repeats): the box of a product
+    is the sum of its factors' boxes ``[min(0, w), max(0, w)]``."""
+    weights = list(weights)
+    return (
+        [sum(min(0, w.coeffs[k]) for w in weights) for k in range(arity)],
+        [sum(max(0, w.coeffs[k]) for w in weights) for k in range(arity)],
+    )
+
+
+class PackedBox:
+    """A Kronecker map (Fateman 2005) of the monomials ``T^e y^k`` in the box
+    ``lo <= e <= hi``, ``0 <= k < ystride``, to integer keys of one variable
+    ``z``: ``T^e y^k -> z^(ystride * phi(e) + k)`` with the mixed-radix
+    ``phi(e) = sum_k c_k e_k`` and ``c_k = prod_{j<k} (hi_j - lo_j + 1)``.
+
+    A packed polynomial is a dict from key to nonzero coefficient.  ``phi`` is
+    additive and ``y -> z``, so packing is a ring homomorphism: any exact
+    sequence of sums and products, carried out on keys, gives the image of
+    its result.  On the box the map is injective, so when the result's
+    support lies in the box :meth:`unpack` recovers it exactly, whatever the
+    intermediate steps passed through.  (A line such as
+    ``t_i -> 2^(i-1) s`` is not injective there: it sends ``T1^2 - T2`` to 0.)
+    """
+
+    __slots__ = ("lo", "radix", "ystride", "_base")
+
+    def __init__(self, lo: Sequence[int], hi: Sequence[int], ystride: int) -> None:
+        radix = [1]
+        for k in range(len(lo) - 1):
+            radix.append(radix[-1] * (hi[k] - lo[k] + 1))
+        self.lo = tuple(lo)
+        self.radix = radix
+        self.ystride = ystride
+        self._base = sum(c * x for c, x in zip(radix, lo))
+
+    def key(self, e: Sequence[int]) -> int:
+        """The key of ``T^e`` (add ``k`` for ``T^e y^k``)."""
+        return self.ystride * sum(c * x for c, x in zip(self.radix, e))
+
+    def monomial(self, key: int) -> Monomial:
+        """The monomial of the box that packs to ``key``."""
+        digits, packed = [], key // self.ystride - self._base
+        for r in reversed(self.radix):
+            digits.append(packed // r)
+            packed %= r
+        return Monomial(Character(tuple(d + b for d, b in zip(reversed(digits), self.lo))), key % self.ystride)
+
+    def unpack(self, f: dict[int, Coeff], arity: int) -> SparsePoly:
+        """The polynomial in the box whose image is ``f``."""
+        return SparsePoly(arity, {self.monomial(k): _norm(c) for k, c in f.items()})
+
+
+def _times_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
+    """Multiply a packed polynomial by ``1 - z^step``: shift and subtract."""
+    out = dict(f)
+    for key, c in f.items():
+        nc = out.get(key + step, 0) - c
+        if nc:
+            out[key + step] = nc
+        else:
+            del out[key + step]
+    return out
+
+
+def _times_one_plus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
+    """Multiply a packed polynomial by ``1 + z^step``: shift and add."""
+    out = dict(f)
+    for key, c in f.items():
+        nc = out.get(key + step, 0) + c
+        if nc:
+            out[key + step] = nc
+        else:
+            del out[key + step]
+    return out
+
+
+def _add_into(total: dict[int, Coeff], f: dict[int, Coeff]) -> None:
+    """Add the packed polynomial ``f`` to ``total`` in place."""
+    for k, c in f.items():
+        nc = total.get(k, 0) + c
+        if nc:
+            total[k] = nc
+        else:
+            del total[k]
+
+
+def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
+    """Exact quotient of a packed polynomial by ``1 - z^step`` (``step > 0``)
+    by prefix sums per residue class mod ``step``, or None when a remainder
+    is left or a quotient key would pass ``top``."""
+    lines: dict[int, list[int]] = {}
+    for key in sorted(f):
+        lines.setdefault(key % step, []).append(key)
+    out: dict[int, Coeff] = {}
+    for keys in lines.values():
+        running: Coeff = 0
+        for j, key in enumerate(keys):
+            running += f[key]
+            if not running:
+                continue
+            if j + 1 == len(keys) or keys[j + 1] - step > top:
+                return None
+            for k in range(key, keys[j + 1], step):
+                out[k] = running
+    return out
 
 
 # -- sample points for mismatch witnesses -----------------------------------

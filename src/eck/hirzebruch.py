@@ -358,11 +358,23 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     The factor comes from localizing ``td(O(-1)) - c_1(O(-1))`` on the
     exceptional divisor; the pushforward is linear and sends the zero class
     to zero.
+
+    The sum is taken over antipodal pairs first, the Atiyah-Bott/GKM order:
+    the poles of ``p_i`` and ``p_{-i}`` along ``2 t_i`` and ``t_i +/- t_j``
+    cancel as soon as the two are added, so each pair is reduced on its own
+    and the pairs (after ``p_0`` for odd n) are merged one at a time with a
+    reduction after each merge.  Adding every point before reducing gives the
+    same rational function, but its common denominator and numerator grow
+    several times larger than the answer's.
     """
     if not cls.is_projective:
         raise ValueError("cone_pushforward applies to projective classes")
     geo = cls.geometry
-    out = RatExpr.zero(geo.arity)
-    for i in geo.indices:
-        out = out + hfactor_minus_one_expr(geo.affine_weight(i)) * cls.values[i]
-    return out.reduced()
+
+    def term(i: int) -> RatExpr:
+        return hfactor_minus_one_expr(geo.affine_weight(i)) * cls.values[i]
+
+    out = term(0).reduced() if geo.odd else RatExpr.zero(geo.arity)
+    for i in range(1, geo.m + 1):
+        out = (out + (term(-i) + term(i)).reduced()).reduced()
+    return out

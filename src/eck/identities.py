@@ -34,7 +34,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import Character, Coeff, Monomial, RatExpr, SparsePoly
+from .algebra import (
+    Character,
+    Coeff,
+    Monomial,
+    PackedBox,
+    RatExpr,
+    SparsePoly,
+    _add_into,
+    _over_one_minus,
+    _times_one_minus,
+    weight_box,
+)
 from .hirzebruch import (
     LocalClass,
     ProductTerm,
@@ -288,66 +299,30 @@ def verify(formula: str, n: int, k: int | None = None, seed: int = 0) -> Verific
     )
 
 
-def _times_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
-    """Multiply a packed polynomial by ``1 - z^step``: shift and subtract."""
-    out = dict(f)
-    for key, c in f.items():
-        nc = out.get(key + step, 0) - c
-        if nc:
-            out[key + step] = nc
-        else:
-            del out[key + step]
-    return out
-
-
-def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
-    """Exact quotient of a packed polynomial by ``1 - z^step`` (``step > 0``)
-    by prefix sums per residue class mod ``step``, or None when a remainder
-    is left or a quotient key would pass ``top``."""
-    lines: dict[int, list[int]] = {}
-    for key in sorted(f):
-        lines.setdefault(key % step, []).append(key)
-    out: dict[int, Coeff] = {}
-    for keys in lines.values():
-        running: Coeff = 0
-        for j, key in enumerate(keys):
-            running += f[key]
-            if not running:
-                continue
-            if j + 1 == len(keys) or keys[j + 1] - step > top:
-                return None
-            for k in range(key, keys[j + 1], step):
-                out[k] = running
-    return out
-
-
 def integrate_projective(cls: LocalClass) -> SparsePoly:
     """Sum the localized values over all fixed points of P^{n-1}.
 
     The sum is the pushforward to a point, so all T-dependence must cancel;
     the result is the chi_y polynomial of the space.
 
-    The sum runs in one variable through a Kronecker map sized from the
-    data.  Let ``L`` be the common denominator (each weight at its largest
-    multiplicity over the points), ``D = prod_{w in L} (1 - T^w)`` and
+    The sum runs in one variable through the packed ring of
+    :class:`~eck.algebra.PackedBox`, sized from the data.  Let ``L`` be the
+    common denominator (each weight at its largest multiplicity over the
+    points), ``D = prod_{w in L} (1 - T^w)`` and
     ``N = sum_i num_i * prod_{w in L - den_i} (1 - T^w)``, so the sum is
-    ``N / D``.  The Newton box of a product is the sum of the factors'
-    boxes, so a per-coordinate box ``[lo_k, hi_k]`` holding 0 and every
-    monomial of ``D`` and of each summand of ``N`` is read off the weights
-    and numerators without expanding anything.  The mixed-radix map
-    ``phi(e) = sum_k c_k e_k`` with ``c_k = prod_{j<k} (hi_j - lo_j + 1)``
-    is injective on the box; ``T^e y^k`` is packed into the integer key
-    ``phi(e) * ystride + k`` (``ystride`` exceeds every y-power).  Each
-    numerator is multiplied by its missing factors ``1 - s^phi(w)`` by
-    shift-and-subtract, the products are added, and the total is divided
-    exactly by ``prod_L (1 - s^phi(w))``.  :class:`ResidualTDependence` is
-    raised unless every division is exact and only ``s^0`` remains.
+    ``N / D``.  A per-coordinate box holding 0 and every monomial of ``D``
+    and of each summand of ``N`` is read off the weights and numerators
+    (:func:`~eck.algebra.weight_box`) without expanding anything, and
+    ``ystride`` exceeds every y-power.  Each numerator is multiplied by its
+    missing factors ``1 - s^phi(w)`` by shift-and-subtract, the products are
+    added, and the total is divided exactly by ``prod_L (1 - s^phi(w))``.
+    :class:`ResidualTDependence` is raised unless every division is exact
+    and only ``s^0`` remains.
 
     The check is exactly as strong as summing over the full torus: if it
     passes with result ``P(y)``, then ``phi(N) = P * phi(D)``, so
     ``phi(N - P*D) = 0``; ``N - P*D`` lives in the box, where ``phi`` is
-    injective, hence ``N = P*D``.  (A line such as ``t_i -> 2^(i-1) s`` is
-    not injective there: it sends ``T1^2 - T2`` to 0.)
+    injective, hence ``N = P*D``.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -364,44 +339,28 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         for w in set(v.den):
             common[w] = max(common.get(w, 0), v.den.count(w))
     factors = sorted((w for w, k in common.items() for _ in range(k)), key=lambda w: w.coeffs)
-
-    def box(weights: list[Character]) -> tuple[list[int], list[int]]:
-        return (
-            [sum(min(0, w.coeffs[k]) for w in weights) for k in range(arity)],
-            [sum(max(0, w.coeffs[k]) for w in weights) for k in range(arity)],
-        )
-
-    lo, hi = box(factors)
+    lo, hi = weight_box(factors, arity)
     missing: list[list[Character]] = []
     for v in values:
         rest = list(factors)
         for w in v.den:
             rest.remove(w)
         missing.append(rest)
-        rlo, rhi = box(rest)
+        rlo, rhi = weight_box(rest, arity)
         for m in v.num.terms:
             for k, e in enumerate(m.char.coeffs):
                 lo[k] = min(lo[k], e + rlo[k])
                 hi[k] = max(hi[k], e + rhi[k])
-    radix = [1]
-    for k in range(arity - 1):
-        radix.append(radix[-1] * (hi[k] - lo[k] + 1))
     ystride = 1 + max((m.ypow for v in values for m in v.num.terms), default=0)
-
-    def key(e: tuple[int, ...]) -> int:
-        return ystride * sum(c * x for c, x in zip(radix, e))
+    box = PackedBox(lo, hi, ystride)
+    key = box.key
 
     total: dict[int, Coeff] = {}
     for v, rest in zip(values, missing):
         part = {key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}
         for w in rest:
             part = _times_one_minus(part, key(w.coeffs))
-        for k, c in part.items():
-            nc = total.get(k, 0) + c
-            if nc:
-                total[k] = nc
-            else:
-                del total[k]
+        _add_into(total, part)
 
     # Divide by positive steps only, via 1 - z^a = -z^a (1 - z^-a) for a < 0,
     # with the monomials z^a of the factors still to come folded into the
@@ -424,14 +383,10 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     leftover = [(k, c) for k, c in sorted(total.items()) if not 0 <= k < ystride]
     if leftover:
         k, c = leftover[0]
-        digits, packed = [], k // ystride - key(tuple(lo)) // ystride
-        for r in reversed(radix):
-            digits.append(packed // r)
-            packed %= r
-        e = Character(tuple(d + b for d, b in zip(reversed(digits), lo)))
+        m = box.monomial(k)
         raise ResidualTDependence(
             f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
-            f"leftover term {SparsePoly.monomial(e, k % ystride, c)}"
+            f"leftover term {SparsePoly.monomial(m.char, m.ypow, c)}"
         )
     return SparsePoly.from_terms(arity, [(Monomial(Character.zero(arity), k), c) for k, c in total.items()])
 

@@ -30,7 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Character, Coeff, RatExpr, SparsePoly, _norm
+from .algebra import (
+    Character,
+    Coeff,
+    PackedBox,
+    RatExpr,
+    SparsePoly,
+    _add_into,
+    _norm,
+    _times_one_minus,
+    _times_one_plus,
+    weight_box,
+)
 from .hirzebruch import ProductTerm, affine_class
 from .torus import GeometryConfig, ambient_weights
 
@@ -136,35 +147,55 @@ class SPolynomial:
 
     def to_ratexpr_horner(self, arity: int) -> RatExpr:
         """The back-substitution of :meth:`to_ratexpr`, nested by Horner's
-        rule over the exponent vectors: multiplying by S_w = T^w - 1 is a
-        shift and a subtraction, and by delta = -1 - y it is -(p + y p), so
-        no power of a variable is ever expanded.
+        rule over the exponent vectors in the packed ring of
+        :class:`~eck.algebra.PackedBox`, so no power of a variable is ever
+        expanded.
+
+        A term ``c delta^a prod S_w^e`` equals ``c (-1)^(a + sum e)
+        (1 + y)^a prod (1 - T^w)^e``, so after that sign each Horner step is
+        a key shift and an addition (``1 + y``) or a subtraction
+        (``1 - T^w``).  The box is each S-variable's largest exponent times
+        ``[min(0, w), max(0, w)]``, and ``ystride`` is 1 + the largest delta
+        exponent; every term of the result lies in it.  Packing is a ring
+        homomorphism that is injective on the box, so unpacking the packed
+        result gives the numerator exactly: the same terms as
+        :meth:`to_ratexpr`, with integral coefficients as ints.
 
         >>> print(to_positive_form("CQ", 2).to_ratexpr_horner(2))
         (1 - T^2 + y*T*T1^-1 + y*T*T1 - 2*y*T^2) / (1 - T*T1^-1) (1 - T*T1)
         """
-        zero = Character.zero(arity)
-        steps = [lambda p: -(p + p.shifted(zero, 1))]
-        steps += [lambda p, w=w: p.shifted(w) - p for w in self.weights]
+        if not self.terms:
+            return RatExpr(SparsePoly.zero(arity), self.den)
+        tops = [max(e) for e in zip(*self.terms)]
+        box = PackedBox(
+            *weight_box((w for w, e in zip(self.weights, tops[1:]) for _ in range(e)), arity),
+            1 + tops[0],
+        )
+        steps = [(_times_one_plus, 1)] + [(_times_one_minus, box.key(w.coeffs)) for w in self.weights]
+        parity = len(self.den)
 
-        def nest(terms: list[tuple[SKey, Coeff]], j: int) -> SparsePoly:
+        def nest(terms: list[tuple[SKey, Coeff]], j: int) -> dict[int, Coeff]:
             # every key in ``terms`` agrees on the exponents before index j
-            if j == len(steps):
-                return SparsePoly.constant(arity, terms[0][1])
+            if len(terms) == 1:
+                ((key, c),) = terms
+                out = {0: -c if (sum(key) + parity) % 2 else c}
+                for (times, step), e in zip(steps[j:], key[j:]):
+                    for _ in range(e):
+                        out = times(out, step)
+                return out
             groups: dict[int, list] = {}
             for key, c in terms:
                 groups.setdefault(key[j], []).append((key, c))
-            out = SparsePoly.zero(arity)
+            times, step = steps[j]
+            out: dict[int, Coeff] = {}
             for e in range(max(groups), -1, -1):
-                out = steps[j](out)
+                if out:
+                    out = times(out, step)
                 if e in groups:
-                    out = out + nest(groups[e], j + 1)
+                    _add_into(out, nest(groups[e], j + 1))
             return out
 
-        num = nest(list(self.terms.items()), 0) if self.terms else SparsePoly.zero(arity)
-        if len(self.den) % 2:
-            num = -num
-        return RatExpr(num, self.den)
+        return RatExpr(box.unpack(nest(list(self.terms.items()), 0), arity), self.den)
 
     def __str__(self) -> str:
         from .render import spoly_text

@@ -89,10 +89,12 @@ def _remark_levels(max_n: int, seed: int) -> tuple[bool, str]:
 
 def _certificates(max_n: int, seed: int) -> tuple[bool, str]:
     """Certify CCQ_n and CQ_n for n = 2..max_n: every coefficient of the
-    positive form is nonnegative and its Horner back-substitution equals
-    the class exactly (``eck certify`` round-trips through the expanded
+    positive form is nonnegative and its back-substitution by
+    :meth:`SPolynomial.to_ratexpr_horner`, nested by Horner's rule in the
+    packed one-variable ring of :class:`~eck.algebra.PackedBox`, equals the
+    class exactly.  ``eck certify`` round-trips through the expanded
     :meth:`SPolynomial.to_ratexpr` instead; the tests hold the two routes
-    equal)."""
+    equal term by term."""
     bad: list[str] = []
     for kind in ("CCQ", "CQ"):
         for n in range(2, max_n + 1):

@@ -542,3 +542,52 @@ def test_witness_reports_the_first_separating_point():
     mine, theirs = a.evaluate(tvals, yval), b.evaluate(tvals, yval)
     assert mine != theirs
     assert a.witness(b, seed=7) == f"differs at T=({tvals[0]}), y={yval}: {mine} != {theirs}"
+
+
+@st.composite
+def _map_case(draw):
+    """Two polynomials over a lattice of rank 1..3 and images of its basis in
+    a lattice of rank 1..3, entries in -2..2 (zero images included)."""
+    arity = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    images = [Character(draw(st.tuples(*[st.integers(-2, 2)] * target))) for _ in range(arity)]
+    return draw(_polys(arity)), draw(_polys(arity)), images
+
+
+@settings(max_examples=100, deadline=None)
+@given(_map_case())
+def test_apply_map_is_a_ring_homomorphism(case):
+    a, b, images = case
+    assert (a + b).apply_map(images) == a.apply_map(images) + b.apply_map(images)
+    assert (a * b).apply_map(images) == a.apply_map(images) * b.apply_map(images)
+
+
+@st.composite
+def _ratexpr_case(draw):
+    """A rational expression, a weight to multiply top and bottom by, a
+    nonzero monomial to perturb it with, and a witness seed."""
+    arity = draw(st.integers(1, 3))
+    weight = st.tuples(*[_exponent] * arity).filter(any).map(Character)
+    den = tuple(draw(st.lists(weight, max_size=3)))
+    shift = Character(draw(st.tuples(*[_exponent] * arity)))
+    bump = SparsePoly.monomial(shift, 0, draw(st.fractions(-5, 5, max_denominator=4).filter(bool)))
+    return RatExpr(draw(_polys(arity)), den), draw(weight), bump, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratexpr_case())
+def test_equivalent_agrees_with_evaluation(case):
+    """Equal expressions agree at every seeded point; adding a monomial free
+    of y over the same denominator changes the value at every point, so the
+    first seeded point is the witness."""
+    e, w, bump, seed = case
+    same = RatExpr(e.num.mul_one_minus(w), e.den + (w,))
+    other = e + RatExpr(bump, e.den)
+    assert e.equivalent(same) and same.equivalent(e)
+    points = sample_points(e.arity, seed)
+    assert all(e.evaluate(tvals, yval) == same.evaluate(tvals, yval) for tvals, yval in points)
+    assert not e.equivalent(other)
+    tvals, yval = points[0]
+    mine, theirs = e.evaluate(tvals, yval), other.evaluate(tvals, yval)
+    assert mine != theirs
+    assert e.witness(other, seed) == f"differs at T=({', '.join(map(str, tvals))}), y={yval}: {mine} != {theirs}"

@@ -304,6 +304,39 @@ def test_pushforward_linearity():
     assert lhs.equivalent(rhs)
 
 
+def _pushforward_point_by_point(cls) -> RatExpr:
+    """The pushforward as a plain fold: every fixed point's term added in
+    index order, one reduction at the end."""
+    geo = cls.geometry
+    out = RatExpr.zero(geo.arity)
+    for i in geo.indices:
+        out = out + hfactor_minus_one_expr(geo.affine_weight(i)) * cls.values[i]
+    return out.reduced()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", ["Qc", "Xc"])
+def test_paired_pushforward_equals_the_point_by_point_fold(kind, n):
+    cls = projective_class(kind, n)
+    paired, folded = cone_pushforward(cls), _pushforward_point_by_point(cls)
+    assert str(paired) == str(folded)
+    assert paired.equivalent(folded)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_paired_pushforward_with_one_end_of_a_pair_zero(n):
+    from eck.hirzebruch import LocalClass
+
+    geo = GeometryConfig(n)
+    values = dict(projective_class("Xc", n).values)
+    values[-1] = RatExpr.zero(geo.arity)
+    cls = LocalClass(geometry=geo, space="Xc off p_-1", n=n, values=values, recipes={i: () for i in geo.indices})
+    paired, folded = cone_pushforward(cls), _pushforward_point_by_point(cls)
+    assert not paired.is_zero
+    assert str(paired) == str(folded)
+    assert paired.equivalent(folded)
+
+
 # -- shift-and-add products against RatExpr multiplication ---------------------
 
 

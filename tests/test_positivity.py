@@ -149,15 +149,37 @@ def test_roundtrip_reproduces_reference_class():
             assert got.equivalent(affine_class(kind, n).at_origin)
 
 
+def _same_back_substitution(nested: RatExpr, expanded: RatExpr) -> None:
+    """Same denominator, numerator terms, printed form and coefficient types:
+    ``str`` prints ``Fraction(3)`` and ``3`` alike, so the types are
+    compared term by term."""
+    assert nested.den == expanded.den
+    assert nested.num.terms == expanded.num.terms
+    assert str(nested) == str(expanded)
+    assert {m: type(c) for m, c in nested.num.terms.items()} == {m: type(c) for m, c in expanded.num.terms.items()}
+
+
 @pytest.mark.parametrize("kind", ["CCQ", "CQ"])
 def test_horner_backsubstitution_equals_the_expanded_route(kind):
-    # two routes to the same numerator: expanded powers and Horner nesting
+    # two routes to the same numerator: expanded powers and packed Horner nesting
     for n in range(2, 8):
         spoly = to_positive_form(kind, n)
         arity = GeometryConfig(n).arity
-        expanded, nested = spoly.to_ratexpr(arity), spoly.to_ratexpr_horner(arity)
-        assert nested.den == expanded.den
-        assert nested.num.terms == expanded.num.terms, (kind, n)
+        _same_back_substitution(spoly.to_ratexpr_horner(arity), spoly.to_ratexpr(arity))
+
+
+def test_horner_packing_keeps_colliding_monomials_apart():
+    """T^2 and T1 share the key of a line such as t_1 -> 2 t; the packed box
+    keeps them apart, also beside a weight negative in every coordinate and
+    with Fraction coefficients."""
+    weights = (Character((2, 0)), Character((0, 1)), Character((-1, -2)))
+    terms = {(0, 1, 0, 0): 1, (0, 0, 1, 0): -1, (1, 2, 1, 1): Fraction(3, 2), (2, 0, 3, 2): Fraction(-1, 2), (0, 0, 0, 0): 2}
+    for den in ((), weights, weights[1:]):
+        spoly = SPolynomial(weights, terms, den)
+        _same_back_substitution(spoly.to_ratexpr_horner(2), spoly.to_ratexpr(2))
+    # S(2t) - S(t1) = T^2 - T1 must not cancel to 0
+    diff = SPolynomial(weights, {(0, 1, 0, 0): 1, (0, 0, 1, 0): -1}).to_ratexpr_horner(2)
+    assert str(diff) == "-T1 + T^2"
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -221,9 +243,7 @@ def _spolynomials(draw):
 @given(_spolynomials())
 def test_random_horner_backsubstitution_equals_the_expanded_route(case):
     arity, spoly = case
-    expanded, nested = spoly.to_ratexpr(arity), spoly.to_ratexpr_horner(arity)
-    assert nested.den == expanded.den
-    assert nested.num.terms == expanded.num.terms
+    _same_back_substitution(spoly.to_ratexpr_horner(arity), spoly.to_ratexpr(arity))
 
 
 # -- certificates ------------------------------------------------------------
