@@ -530,9 +530,9 @@ class PackedBox:
             packed %= r
         return Monomial(Character(tuple(d + b for d, b in zip(reversed(digits), self.lo))), key % self.ystride)
 
-    def unpack(self, f: dict[int, Coeff], arity: int) -> SparsePoly:
+    def unpack(self, f: dict[int, Coeff]) -> SparsePoly:
         """The polynomial in the box whose image is ``f``."""
-        return SparsePoly(arity, {self.monomial(k): _norm(c) for k, c in f.items()})
+        return SparsePoly(len(self.lo), {self.monomial(k): _norm(c) for k, c in f.items()})
 
 
 def _times_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:

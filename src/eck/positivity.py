@@ -152,9 +152,10 @@ class SPolynomial:
         expanded.
 
         A term ``c delta^a prod S_w^e`` equals ``c (-1)^(a + sum e)
-        (1 + y)^a prod (1 - T^w)^e``, so after that sign each Horner step is
-        a key shift and an addition (``1 + y``) or a subtraction
-        (``1 - T^w``).  The box is each S-variable's largest exponent times
+        (1 + y)^a prod (1 - T^w)^e``, so after that sign (and the sign
+        ``(-1)^len(den)`` of :meth:`to_ratexpr`) each Horner step is a key
+        shift and an addition (``1 + y``) or a subtraction (``1 - T^w``).
+        The box is each S-variable's largest exponent times
         ``[min(0, w), max(0, w)]``, and ``ystride`` is 1 + the largest delta
         exponent; every term of the result lies in it.  Packing is a ring
         homomorphism that is injective on the box, so unpacking the packed
@@ -195,7 +196,7 @@ class SPolynomial:
                     _add_into(out, nest(groups[e], j + 1))
             return out
 
-        return RatExpr(box.unpack(nest(list(self.terms.items()), 0), arity), self.den)
+        return RatExpr(box.unpack(nest(list(self.terms.items()), 0)), self.den)
 
     def __str__(self) -> str:
         from .render import spoly_text
