@@ -3,9 +3,10 @@ record each one leaves: argv, exit code, stdout and stderr, in one text
 block.  ``test_golden`` compares fresh records with the committed files byte
 for byte; ``golden/regen.py`` rewrites the files by hand.
 
-The corpus covers every subcommand in text, LaTeX and JSON at small n, and
-``eck table --max-n 4`` with criterion 9 failing (exit 1).  No invocation
-passes ``--timings``, so every record is deterministic.
+The corpus covers every subcommand in text, LaTeX and JSON at small n,
+``eck table --max-n 4`` with criterion 9 failing (exit 1), and ``eck table
+--max-n 8`` in JSON, the size the benchmark runs.  No invocation passes
+``--timings``, so every record is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def _cases() -> list[list[str]]:
     bases.append(["csm", "--n", "2..4", "--space", "CCX"])
     bases.append(["csm", "--n", "4", "--order", "12"])
     bases.append(["table", "--max-n", "4"])
-    return [base + ["--format", fmt] for base in bases for fmt in FORMATS]
+    cases = [base + ["--format", fmt] for base in bases for fmt in FORMATS]
+    return cases + [["table", "--max-n", "8", "--format", "json"]]
 
 
 CASES = _cases()
