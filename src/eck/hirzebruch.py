@@ -23,7 +23,10 @@ rational expression so output can render unexpanded products.  Each product
 is built by shift-and-add: every factor's numerator is a sum of two unit
 monomials, so multiplying by it adds two shifted copies of a dict keyed by
 flat ``(ypow, e_0, ..., e_m)`` exponent tuples, and no generic polynomial
-product is formed.
+product is formed.  The h-factors that every term of a recipe shares are
+factored out before the terms are added: only the leftover products are
+summed and reduced, and the shared numerators are multiplied back after the
+reduction (see :func:`sum_of_products`).
 
 :func:`projective_class` and :func:`affine_class` build each class once per
 process: the result is cached on the normalized ``(kind, n, geometry)``,
@@ -33,6 +36,7 @@ share one table of :class:`Character` objects with every other cached class.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import add
@@ -58,22 +62,34 @@ AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
 ProductTerm = tuple[int, int, tuple[tuple[Character, bool], ...]]
 
 
-def _product(arity: int, c: int, k: int, factors: Iterable[tuple[Character, bool]]) -> RatExpr:
-    """One recipe term ``c * y^k * prod(h or h-1)``, built by shift-and-add.
+def _product(
+    arity: int,
+    c: int,
+    k: int,
+    factors: Iterable[tuple[Character, bool]],
+    start: SparsePoly | None = None,
+) -> RatExpr:
+    """One recipe term ``c * y^k * prod(h or h-1)``, built by shift-and-add;
+    with ``start`` given, the product starts from ``c * y^k * start`` in
+    place of ``c * y^k``.
 
     Over a sign-canonical weight ``w``, ``h(T^w)`` maps a numerator ``p`` to
     ``p + y T^w p`` and ``h - 1`` maps it to ``T^w p + y T^w p``.  Any other
     weight is flipped on the spot (``1/(1 - T^w) = -T^-w/(1 - T^-w)``): ``h``
     becomes ``-(y + T^-w)`` and ``h - 1`` becomes ``-(1 + y)`` over ``1 - T^-w``,
-    so the denominator is canonical as built.  Every step adds two copies
-    with coefficient +1, so nothing cancels and the signs are applied once at
-    the end.  A zero ``c`` keeps the denominator with a zero numerator.
+    so the denominator is canonical as built.  Every step adds two copies, so
+    from a unit monomial nothing cancels; a ``start`` with several terms may
+    cancel, and zero coefficients are dropped.  The signs are applied once
+    at the end.  A zero ``c`` keeps the denominator with a zero numerator.
     """
     if k < 0:
         raise ValueError("y admits only nonnegative exponents")
     zero = (0,) * arity
     unit_y = (1,) + zero
-    acc = {(k,) + zero: 1} if c else {}
+    if start is None:
+        acc = {(k,) + zero: 1} if c else {}
+    else:
+        acc = {(m.ypow + k,) + m.char.coeffs: v for m, v in start.terms.items()} if c else {}
     scale = c
     den = []
     for w, minus_one in factors:
@@ -93,7 +109,7 @@ def _product(arity: int, c: int, k: int, factors: Iterable[tuple[Character, bool
                     key = tuple(map(add, key, shift))
                 out[key] = out.get(key, 0) + v
         acc = out
-    num = {Monomial(Character(key[1:]), key[0]): scale * v for key, v in acc.items()}
+    num = {Monomial(Character(key[1:]), key[0]): scale * v for key, v in acc.items() if v}
     return RatExpr(SparsePoly(arity, num), tuple(den))
 
 
@@ -103,8 +119,40 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     Each term is built by shift-and-add over flat exponent keys (see
     :func:`_product`), one ``SparsePoly`` and one ``RatExpr`` per term; the
     terms are added over a common denominator and the sum is reduced once.
+
+    The h-factors that every term shares (the same ``(weight, minus_one)``
+    pair, counted with multiplicity) are factored out first: only the
+    leftover inner terms are built and added, the inner sum is reduced over
+    its own denominator together with the shared denominators, and the
+    shared numerators are multiplied back into the reduced numerator by
+    shift-and-add.  Every term's denominator holds the shared weights, so the
+    full sum's common denominator is theirs together with the inner one, and
+    its numerator is the shared product times the inner sum.  The reduction
+    then ends at the same result, term for term and factor for factor.  Each
+    shared numerator, ``1 + y T^w``, ``(1 + y) T^w``,
+    ``-(y + T^-w)`` or ``-(1 + y)``, has degree one in y and no factor free of
+    y but units, so it is coprime to every ``1 - T^v``: such a factor divides the full
+    numerator exactly when it divides the inner one, and the quotients differ
+    by the same shared product.  At ``T = 1`` each shared numerator is
+    ``+/-(1 + y)``, so the full numerator vanishes there exactly when the
+    inner one does.  Hence every trial division of ``reduced()``, and every
+    ``_nonzero_at_one`` test, decides the same way on the inner numerator as
+    on the full one, in the same order.
     """
     terms = tuple(terms)
+    shared = Counter(terms[0][2]) if len(terms) > 1 else Counter()
+    for _, _, factors in terms[1:]:
+        shared &= Counter(factors)
+    if shared:
+        common = tuple(shared.elements())
+        inner = RatExpr.zero(arity)
+        for c, k, factors in terms:
+            rest = list(factors)
+            for f in common:
+                rest.remove(f)
+            inner = inner + _product(arity, c, k, rest)
+        inner = RatExpr(inner.num, inner.den + _product(arity, 0, 0, common).den).reduced()
+        return RatExpr(_product(arity, 1, 0, common, inner.num).num, inner.den)
     out = RatExpr.zero(arity)
     for c, k, factors in terms:
         out = out + _product(arity, c, k, factors)

@@ -26,13 +26,18 @@ Formulas:
              CQ/CX at the origin): the class difference is divisible by y.
 * ``blowup_consistency``  the blowup pushforward of Qc_n / Xc_n equals the
              direct CCQ_n / CCX_n classes.
+
+:func:`integrate_projective` sums the localized values over the fixed points
+to the chi_y polynomial, in one packed variable: each antipodal pair
+``p_i``, ``p_{-i}`` is added and its cancelling denominator factors divided
+out before the pairs are merged and the rest is divided exactly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     Character,
@@ -299,6 +304,24 @@ def verify(formula: str, n: int, k: int | None = None, seed: int = 0) -> Verific
     )
 
 
+def _union(dens: Iterable[Sequence[Character]]) -> list[Character]:
+    """The common denominator of ``dens``: each weight at its largest
+    multiplicity, in character order."""
+    common: dict[Character, int] = {}
+    for den in dens:
+        for w in set(den):
+            common[w] = max(common.get(w, 0), den.count(w))
+    return sorted((w for w, k in common.items() for _ in range(k)), key=lambda w: w.coeffs)
+
+
+def _without(factors: list[Character], den: Iterable[Character]) -> list[Character]:
+    """``factors`` less one copy of each weight of ``den``."""
+    rest = list(factors)
+    for w in den:
+        rest.remove(w)
+    return rest
+
+
 def integrate_projective(cls: LocalClass) -> SparsePoly:
     """Sum the localized values over all fixed points of P^{n-1}.
 
@@ -313,16 +336,26 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     ``N / D``.  A per-coordinate box holding 0 and every monomial of ``D``
     and of each summand of ``N`` is read off the weights and numerators
     (:func:`~eck.algebra.weight_box`) without expanding anything, and
-    ``ystride`` exceeds every y-power.  Each numerator is multiplied by its
-    missing factors ``1 - s^phi(w)`` by shift-and-subtract, the products are
-    added, and the total is divided exactly by ``prod_L (1 - s^phi(w))``.
-    :class:`ResidualTDependence` is raised unless every division is exact
-    and only ``s^0`` remains.
+    ``ystride`` exceeds every y-power.
 
-    The check is exactly as strong as summing over the full torus: if it
-    passes with result ``P(y)``, then ``phi(N) = P * phi(D)``, so
-    ``phi(N - P*D) = 0``; ``N - P*D`` lives in the box, where ``phi`` is
-    injective, hence ``N = P*D``.
+    The points are summed in the Atiyah-Bott/GKM order: ``p_i`` with
+    ``p_{-i}`` first, since the poles a pair shares cancel as soon as its two
+    points are added.  Each numerator of a pair is multiplied by the factors
+    ``1 - s^phi(w)`` of the pair's own common denominator that it lacks, by
+    shift-and-subtract, and the two are added; then every factor of that
+    denominator that divides the pair's sum exactly is divided out
+    (``1 - z^a = -z^a (1 - z^-a)`` for a negative step).  A point without a
+    partner (``p_0`` for odd n, or a pair with one zero value) is taken as it
+    stands.  The reduced pairs are lifted to the union of what is left of
+    their denominators and added, and the total is divided exactly by the
+    product over that union.  :class:`ResidualTDependence` is raised unless
+    every final division is exact and only ``s^0`` remains.
+
+    The check is exactly as strong as summing over the full torus.  Every
+    step is an identity in the one-variable Laurent ring, whichever factors
+    the pairs cancel, so if it passes with result ``P(y)``, then
+    ``phi(N) = P * phi(D)``, so ``phi(N - P*D) = 0``; ``N - P*D`` lives in
+    the box, where ``phi`` is injective, hence ``N = P*D``.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -333,20 +366,15 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         raise ValueError("integration over fixed points applies to projective classes")
     geo = cls.geometry
     arity = geo.arity
-    values = [cls.values[i] for i in geo.indices if not cls.values[i].is_zero]
-    common: dict[Character, int] = {}
-    for v in values:
-        for w in set(v.den):
-            common[w] = max(common.get(w, 0), v.den.count(w))
-    factors = sorted((w for w, k in common.items() for _ in range(k)), key=lambda w: w.coeffs)
+    pairs = [(0,)] if geo.odd else []
+    pairs += [(-i, i) for i in range(1, geo.m + 1)]
+    groups = [[cls.values[i] for i in pair if not cls.values[i].is_zero] for pair in pairs]
+    groups = [group for group in groups if group]
+    values = [v for group in groups for v in group]
+    factors = _union(v.den for v in values)
     lo, hi = weight_box(factors, arity)
-    missing: list[list[Character]] = []
     for v in values:
-        rest = list(factors)
-        for w in v.den:
-            rest.remove(w)
-        missing.append(rest)
-        rlo, rhi = weight_box(rest, arity)
+        rlo, rhi = weight_box(_without(factors, v.den), arity)
         for m in v.num.terms:
             for k, e in enumerate(m.char.coeffs):
                 lo[k] = min(lo[k], e + rlo[k])
@@ -354,13 +382,34 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     ystride = 1 + max((m.ypow for v in values for m in v.num.terms), default=0)
     box = PackedBox(lo, hi, ystride)
     key = box.key
+    top = key(tuple(hi)) + ystride - 1
 
-    total: dict[int, Coeff] = {}
-    for v, rest in zip(values, missing):
-        part = {key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}
-        for w in rest:
-            part = _times_one_minus(part, key(w.coeffs))
-        _add_into(total, part)
+    def lifted(parts: list[tuple[dict[int, Coeff], Sequence[Character]]], common: list[Character]) -> dict[int, Coeff]:
+        """The packed numerators ``parts`` (each over its denominator) summed
+        over ``common`` by shift-and-subtract."""
+        total: dict[int, Coeff] = {}
+        for part, den in parts:
+            for w in _without(common, den):
+                part = _times_one_minus(part, key(w.coeffs))
+            _add_into(total, part)
+        return total
+
+    reduced = []
+    for group in groups:
+        common = _union(v.den for v in group)
+        parts = [({key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
+        part, left, failed = lifted(parts, common), [], set()
+        for w in common:
+            a = key(w.coeffs)
+            quotient = None if w in failed or len(group) == 1 else _over_one_minus(part, abs(a), top)
+            if quotient is None:
+                failed.add(w)
+                left.append(w)
+            else:
+                part = quotient if a > 0 else {k - a: -c for k, c in quotient.items()}
+        reduced.append((part, left))
+    factors = _union(den for _, den in reduced)
+    total = lifted(reduced, factors)
 
     # Divide by positive steps only, via 1 - z^a = -z^a (1 - z^-a) for a < 0,
     # with the monomials z^a of the factors still to come folded into the
@@ -373,7 +422,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     total = {k - pending: sign * c for k, c in total.items()}
     for w, a in zip(factors, steps):
         pending -= min(0, a)
-        quotient = _over_one_minus(total, abs(a), key(tuple(hi)) - pending + ystride - 1)
+        quotient = _over_one_minus(total, abs(a), top - pending)
         if quotient is None:
             raise ResidualTDependence(
                 f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "

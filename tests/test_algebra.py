@@ -9,7 +9,7 @@ with the kernel.
 from fractions import Fraction
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -591,3 +591,62 @@ def test_equivalent_agrees_with_evaluation(case):
     mine, theirs = e.evaluate(tvals, yval), other.evaluate(tvals, yval)
     assert mine != theirs
     assert e.witness(other, seed) == f"differs at T=({', '.join(map(str, tvals))}), y={yval}: {mine} != {theirs}"
+
+
+@st.composite
+def _ratexpr_pair(draw, arity: int):
+    """Two rational expressions over one lattice, denominators of up to three
+    weights each."""
+    weight = st.tuples(*[_exponent] * arity).filter(any).map(Character)
+    return tuple(RatExpr(draw(_polys(arity)), tuple(draw(st.lists(weight, max_size=3)))) for _ in range(2))
+
+
+@st.composite
+def _ratexpr_map_case(draw):
+    """Two rational expressions and a lattice map that sends no denominator
+    weight of either to 0."""
+    arity = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    a, b = draw(_ratexpr_pair(arity))
+    images = [Character(draw(st.tuples(*[st.integers(-2, 2)] * target))) for _ in range(arity)]
+    for w in a.den + b.den:
+        assume(any(sum(e * img.coeffs[i] for e, img in zip(w.coeffs, images)) for i in range(target)))
+    return a, b, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratexpr_map_case())
+def test_ratexpr_apply_map_is_a_ring_homomorphism(case):
+    """On rational expressions, with denominators, the map respects sums and
+    products as rational functions."""
+    a, b, images = case
+    assert (a + b).apply_map(images).equivalent(a.apply_map(images) + b.apply_map(images))
+    assert (a * b).apply_map(images).equivalent(a.apply_map(images) * b.apply_map(images))
+
+
+@st.composite
+def _ratexpr_comparison(draw):
+    """Two independent rational expressions, a rewrite of the first with a
+    factor ``1 - T^w`` on top and bottom, and a witness seed."""
+    arity = draw(st.integers(1, 3))
+    a, b = draw(_ratexpr_pair(arity))
+    w = Character(draw(st.tuples(*[_exponent] * arity).filter(any)))
+    return a, b, RatExpr(a.num.mul_one_minus(w), a.den + (w,)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratexpr_comparison())
+def test_equivalent_is_consistent_with_evaluation_at_the_seeded_points(case):
+    """Equivalent expressions take equal values at every seeded point; a
+    point where the values differ rules equivalence out, and then the
+    witness names the first such point."""
+    a, b, rewritten, seed = case
+    points = sample_points(a.arity, seed)
+    for other in (b, rewritten, a + b - b):
+        agree = [a.evaluate(tvals, yval) == other.evaluate(tvals, yval) for tvals, yval in points]
+        if a.equivalent(other):
+            assert all(agree)
+        elif not all(agree):
+            tvals, yval = points[agree.index(False)]
+            assert a.witness(other, seed).startswith(f"differs at T=({', '.join(map(str, tvals))}), y={yval}: ")
+    assert a.equivalent(rewritten) and a.equivalent(a + b - b)

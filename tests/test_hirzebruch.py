@@ -404,10 +404,36 @@ def test_random_recipes_match_multiplied_products(recipe):
     _assert_same_value(*recipe)
 
 
+@st.composite
+def _shared_recipes(draw):
+    """Random recipes of two to four terms that all carry one random factor
+    list (repeats allowed) at shuffled positions among their own factors, so
+    ``sum_of_products`` takes its factored route."""
+    arity = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-2, 2)] * arity).filter(any).map(Character)
+    factor = st.tuples(weight, st.booleans())
+    shared = draw(st.lists(factor, min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        own = draw(st.lists(factor, max_size=3))
+        factors = draw(st.permutations(shared + own))
+        terms.append((draw(st.integers(-3, 3)), draw(st.integers(0, 2)), tuple(factors)))
+    return arity, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_recipes())
+def test_recipes_with_shared_factors_match_multiplied_products(recipe):
+    _assert_same_value(*recipe)
+
+
 def test_zero_weight_is_rejected_even_with_a_zero_coefficient():
+    """Also when every term shares the zero weight, so it is factored out."""
+    zero = (ch(0, 0), True)
     for c in (0, 1):
-        with pytest.raises(DivisionByZero, match="h-factor of the zero weight"):
-            sum_of_products(2, [(c, 0, ((ch(1, 0), False), (ch(0, 0), True)))])
+        for recipe in ([(c, 0, ((ch(1, 0), False), zero))], [(c, 0, ((ch(1, 0), False), zero)), (1, 1, (zero,))]):
+            with pytest.raises(DivisionByZero, match="h-factor of the zero weight"):
+                sum_of_products(2, recipe)
 
 
 # -- the class cache ---------------------------------------------------------

@@ -197,6 +197,34 @@ def test_integration_keeps_full_torus_strength():
     assert not restricted.den and restricted.num.y_coefficients() == {p: (-1) ** p for p in range(5)}
 
 
+def _p5_with(changes: dict[int, SparsePoly]) -> LocalClass:
+    """The P_5 class with a polynomial added to the values at some points."""
+    base = projective_class("P", 5)
+    values = {i: v + changes[i] if i in changes else v for i, v in base.values.items()}
+    return LocalClass(geometry=base.geometry, space="broken", n=5, values=values, recipes=base.recipes)
+
+
+_EXTRA = SparsePoly.monomial(Character((0, 2, 0))) - SparsePoly.monomial(Character((0, 0, 1)))  # T1^2 - T2
+
+
+def test_integration_cancels_a_perturbation_across_a_pair():
+    """T1^2 - T2 added at p_1 and taken away at p_-1 leaves the sum, and so
+    the genus of P^4, unchanged, although neither point of the pair is the
+    class value any more."""
+    got = integrate_projective(_p5_with({1: _EXTRA, -1: -_EXTRA}))
+    assert got.y_coefficients() == {p: (-1) ** p for p in range(5)}
+
+
+@pytest.mark.parametrize("point", [-1, 2])
+def test_integration_rejects_a_perturbation_at_any_point(point):
+    """The corruption of ``test_integration_keeps_full_torus_strength``, at
+    the other end of the first pair and in the second pair."""
+    broken = _p5_with({point: _EXTRA})
+    with pytest.raises(ResidualTDependence, match="broken_5"):
+        integrate_projective(broken)
+    assert not _full_torus_sum(broken).num.is_y_only()
+
+
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
 def test_integration_matches_full_torus_fold(kind):
     for n in range(1 if kind == "P" else 2, 8):
@@ -208,7 +236,7 @@ def test_integration_matches_full_torus_fold(kind):
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
 def test_genus_closed_forms(kind):
-    for n in range(1 if kind == "P" else 2, 10):
+    for n in range(1 if kind == "P" else 2, 11):
         assert chi_y(kind, n).y_coefficients() == genus_closed_form(kind, n), (kind, n)
 
 

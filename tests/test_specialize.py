@@ -4,6 +4,8 @@ polynomials, and the y = 0 multidegree of the stable envelope of the class."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import affine_class, projective_class
@@ -54,6 +56,31 @@ def test_biseries_laurent_inverse_shifts_valuation():
     assert inv.valuation() == -1
     prod = s * inv
     assert prod.u_coefficients(0) == {0: Fraction(1)}
+
+
+@st.composite
+def _invertible_series(draw):
+    """A truncated series whose lowest total degree holds one monomial (of
+    either sign of degree), with random terms of higher degree."""
+    la, lb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    order = la + lb + draw(st.integers(1, 6))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    terms = {(la, lb): draw(coeff.filter(bool))}
+    for _ in range(draw(st.integers(0, 6))):
+        da, db = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if da + db:
+            terms[(la + da, lb + db)] = draw(coeff)
+    return BiSeries.make(terms, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invertible_series())
+def test_biseries_inverse_times_the_series_is_one(s):
+    """Through the order the product tracks, which is the series' order less
+    its valuation, the product with the inverse is exactly 1."""
+    prod = s * s.inverse()
+    assert prod.order == s.order - s.valuation()
+    assert prod.terms == {(0, 0): 1}
 
 
 # -- diagonal substitution ---------------------------------------------------
