@@ -394,6 +394,9 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
             _add_into(total, part)
         return total
 
+    # A factor that divides a pair's sum over the full torus leaves a
+    # quotient inside the pair's Newton polytope, so inside the box: a run
+    # past its top is not such a division, and the factor waits for the merge.
     reduced = []
     for group in groups:
         common = _union(v.den for v in group)
