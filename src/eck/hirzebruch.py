@@ -117,22 +117,24 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     """Evaluate a recipe ``sum c * y^k * prod(h(+/-1))`` to a RatExpr.
 
     Each term is built by shift-and-add over flat exponent keys (see
-    :func:`_product`), one ``SparsePoly`` and one ``RatExpr`` per term; the
-    terms are added over a common denominator and the sum is reduced once.
+    :func:`_product`), one ``SparsePoly`` and one ``RatExpr`` per term; a
+    single term is returned as built, and several are added over a common
+    denominator and the sum is reduced once.
 
-    The h-factors that every term shares (the same ``(weight, minus_one)``
-    pair, counted with multiplicity) are factored out first: only the
-    leftover inner terms are built and added, the inner sum is reduced over
-    its own denominator together with the shared denominators, and the
-    shared numerators are multiplied back into the reduced numerator by
-    shift-and-add.  Every term's denominator holds the shared weights, so the
-    full sum's common denominator is theirs together with the inner one, and
-    its numerator is the shared product times the inner sum.  The reduction
-    then ends at the same result, term for term and factor for factor.  Each
-    shared numerator, ``1 + y T^w``, ``(1 + y) T^w``,
-    ``-(y + T^-w)`` or ``-(1 + y)``, has degree one in y and no factor free of
-    y but units, so it is coprime to every ``1 - T^v``: such a factor divides the full
-    numerator exactly when it divides the inner one, and the quotients differ
+    Of several terms, the h-factors that every term shares (the same
+    ``(weight, minus_one)`` pair, counted with multiplicity; possibly none)
+    are factored out first: only the leftover inner terms are built and
+    added, the inner sum is reduced over its own denominator together with
+    the shared denominators, and the shared numerators are multiplied back
+    into the reduced numerator by shift-and-add.  Every term's denominator
+    holds the shared weights, so the full sum's common denominator is theirs
+    together with the inner one, and its numerator is the shared product
+    times the inner sum.  The reduction then ends at the same result, term
+    for term and factor for factor.  Each shared numerator, ``1 + y T^w``,
+    ``(1 + y) T^w``, ``-(y + T^-w)`` or ``-(1 + y)``, has degree one in y and
+    no factor free of y but units, so it is coprime to every ``1 - T^v``:
+    such a factor divides the full numerator exactly when it divides the
+    inner one, and the quotients differ
     by the same shared product.  At ``T = 1`` each shared numerator is
     ``+/-(1 + y)``, so the full numerator vanishes there exactly when the
     inner one does.  Hence every trial division of ``reduced()``, and every
@@ -140,27 +142,24 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     on the full one, in the same order.
     """
     terms = tuple(terms)
-    shared = Counter(terms[0][2]) if len(terms) > 1 else Counter()
+    if len(terms) == 1:
+        # A single term is already reduced: the lowest y-coefficient of its
+        # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
+        # c T^v, and a factor 1 - T^w free of y dividing the numerator would
+        # divide that coefficient too.
+        return _product(arity, *terms[0])
+    shared = Counter(terms[0][2] if terms else ())
     for _, _, factors in terms[1:]:
         shared &= Counter(factors)
-    if shared:
-        common = tuple(shared.elements())
-        inner = RatExpr.zero(arity)
-        for c, k, factors in terms:
-            rest = list(factors)
-            for f in common:
-                rest.remove(f)
-            inner = inner + _product(arity, c, k, rest)
-        inner = RatExpr(inner.num, inner.den + _product(arity, 0, 0, common).den).reduced()
-        return RatExpr(_product(arity, 1, 0, common, inner.num).num, inner.den)
-    out = RatExpr.zero(arity)
+    common = tuple(shared.elements())
+    inner = RatExpr.zero(arity)
     for c, k, factors in terms:
-        out = out + _product(arity, c, k, factors)
-    # A single term is already reduced: the lowest y-coefficient of its
-    # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
-    # c T^v, and a factor 1 - T^w free of y dividing the numerator would
-    # divide that coefficient too.
-    return out.reduced() if len(terms) > 1 else out
+        rest = list(factors)
+        for f in common:
+            rest.remove(f)
+        inner = inner + _product(arity, c, k, rest)
+    inner = RatExpr(inner.num, inner.den + _product(arity, 0, 0, common).den).reduced()
+    return RatExpr(_product(arity, 1, 0, common, inner.num).num, inner.den)
 
 
 #: one object per distinct character among the values of the cached classes

@@ -563,15 +563,24 @@ def test_apply_map_is_a_ring_homomorphism(case):
 
 
 @st.composite
+def _ratexpr_pair(draw, arity: int):
+    """Two rational expressions over one lattice, denominators of up to three
+    weights each."""
+    weight = st.tuples(*[_exponent] * arity).filter(any).map(Character)
+    return tuple(RatExpr(draw(_polys(arity)), tuple(draw(st.lists(weight, max_size=3)))) for _ in range(2))
+
+
+@st.composite
 def _ratexpr_case(draw):
-    """A rational expression, a weight to multiply top and bottom by, a
-    nonzero monomial to perturb it with, and a witness seed."""
+    """A rational expression, an independent one over the same lattice, a
+    weight to multiply top and bottom by, a nonzero monomial to perturb it
+    with, and a witness seed."""
     arity = draw(st.integers(1, 3))
     weight = st.tuples(*[_exponent] * arity).filter(any).map(Character)
-    den = tuple(draw(st.lists(weight, max_size=3)))
+    e, b = draw(_ratexpr_pair(arity))
     shift = Character(draw(st.tuples(*[_exponent] * arity)))
     bump = SparsePoly.monomial(shift, 0, draw(st.fractions(-5, 5, max_denominator=4).filter(bool)))
-    return RatExpr(draw(_polys(arity)), den), draw(weight), bump, draw(st.integers(0, 10**6))
+    return e, b, draw(weight), bump, draw(st.integers(0, 10**6))
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,8 +588,10 @@ def _ratexpr_case(draw):
 def test_equivalent_agrees_with_evaluation(case):
     """Equal expressions agree at every seeded point; adding a monomial free
     of y over the same denominator changes the value at every point, so the
-    first seeded point is the witness."""
-    e, w, bump, seed = case
+    first seeded point is the witness.  Against an independent expression,
+    equivalence forces agreement at every seeded point, and a point where
+    the values differ rules it out and is the witness."""
+    e, b, w, bump, seed = case
     same = RatExpr(e.num.mul_one_minus(w), e.den + (w,))
     other = e + RatExpr(bump, e.den)
     assert e.equivalent(same) and same.equivalent(e)
@@ -591,14 +602,15 @@ def test_equivalent_agrees_with_evaluation(case):
     mine, theirs = e.evaluate(tvals, yval), other.evaluate(tvals, yval)
     assert mine != theirs
     assert e.witness(other, seed) == f"differs at T=({', '.join(map(str, tvals))}), y={yval}: {mine} != {theirs}"
-
-
-@st.composite
-def _ratexpr_pair(draw, arity: int):
-    """Two rational expressions over one lattice, denominators of up to three
-    weights each."""
-    weight = st.tuples(*[_exponent] * arity).filter(any).map(Character)
-    return tuple(RatExpr(draw(_polys(arity)), tuple(draw(st.lists(weight, max_size=3)))) for _ in range(2))
+    assert e.equivalent(e + b - b)
+    for other in (b, e + b - b):
+        values = [(e.evaluate(tvals, yval), other.evaluate(tvals, yval)) for tvals, yval in points]
+        if e.equivalent(other):
+            assert all(mine == theirs for mine, theirs in values)
+        elif any(mine != theirs for mine, theirs in values):
+            i = next(i for i, (mine, theirs) in enumerate(values) if mine != theirs)
+            (tvals, yval), (mine, theirs) = points[i], values[i]
+            assert e.witness(other, seed) == f"differs at T=({', '.join(map(str, tvals))}), y={yval}: {mine} != {theirs}"
 
 
 @st.composite
@@ -622,31 +634,3 @@ def test_ratexpr_apply_map_is_a_ring_homomorphism(case):
     a, b, images = case
     assert (a + b).apply_map(images).equivalent(a.apply_map(images) + b.apply_map(images))
     assert (a * b).apply_map(images).equivalent(a.apply_map(images) * b.apply_map(images))
-
-
-@st.composite
-def _ratexpr_comparison(draw):
-    """Two independent rational expressions, a rewrite of the first with a
-    factor ``1 - T^w`` on top and bottom, and a witness seed."""
-    arity = draw(st.integers(1, 3))
-    a, b = draw(_ratexpr_pair(arity))
-    w = Character(draw(st.tuples(*[_exponent] * arity).filter(any)))
-    return a, b, RatExpr(a.num.mul_one_minus(w), a.den + (w,)), draw(st.integers(0, 10**6))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_ratexpr_comparison())
-def test_equivalent_is_consistent_with_evaluation_at_the_seeded_points(case):
-    """Equivalent expressions take equal values at every seeded point; a
-    point where the values differ rules equivalence out, and then the
-    witness names the first such point."""
-    a, b, rewritten, seed = case
-    points = sample_points(a.arity, seed)
-    for other in (b, rewritten, a + b - b):
-        agree = [a.evaluate(tvals, yval) == other.evaluate(tvals, yval) for tvals, yval in points]
-        if a.equivalent(other):
-            assert all(agree)
-        elif not all(agree):
-            tvals, yval = points[agree.index(False)]
-            assert a.witness(other, seed).startswith(f"differs at T=({', '.join(map(str, tvals))}), y={yval}: ")
-    assert a.equivalent(rewritten) and a.equivalent(a + b - b)
