@@ -118,8 +118,8 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
 
     Each term is built by shift-and-add over flat exponent keys (see
     :func:`_product`), one ``SparsePoly`` and one ``RatExpr`` per term; a
-    single term is returned as built, and several are added over a common
-    denominator and the sum is reduced once.
+    single term is returned as built (no term gives zero), and several are
+    added over a common denominator and the sum is reduced once.
 
     Of several terms, the h-factors that every term shares (the same
     ``(weight, minus_one)`` pair, counted with multiplicity; possibly none)
@@ -134,21 +134,21 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     ``(1 + y) T^w``, ``-(y + T^-w)`` or ``-(1 + y)``, has degree one in y and
     no factor free of y but units, so it is coprime to every ``1 - T^v``:
     such a factor divides the full numerator exactly when it divides the
-    inner one, and the quotients differ
-    by the same shared product.  At ``T = 1`` each shared numerator is
-    ``+/-(1 + y)``, so the full numerator vanishes there exactly when the
-    inner one does.  Hence every trial division of ``reduced()``, and every
-    ``_nonzero_at_one`` test, decides the same way on the inner numerator as
-    on the full one, in the same order.
+    inner one, and the quotients differ by the same shared product.  At
+    ``T = 1`` each shared numerator is ``+/-(1 + y)``, so the full numerator
+    vanishes there exactly when the inner one does.  Hence every trial
+    division of ``reduced()``, and every ``_nonzero_at_one`` test, decides
+    the same way on the inner numerator as on the full one, in the same
+    order.
     """
     terms = tuple(terms)
-    if len(terms) == 1:
+    if len(terms) <= 1:
         # A single term is already reduced: the lowest y-coefficient of its
         # numerator c y^k prod(1 + y T^w or (1 + y) T^w) is the unit monomial
         # c T^v, and a factor 1 - T^w free of y dividing the numerator would
         # divide that coefficient too.
-        return _product(arity, *terms[0])
-    shared = Counter(terms[0][2] if terms else ())
+        return _product(arity, *terms[0]) if terms else RatExpr.zero(arity)
+    shared = Counter(terms[0][2])
     for _, _, factors in terms[1:]:
         shared &= Counter(factors)
     common = tuple(shared.elements())
