@@ -8,7 +8,10 @@ character of a fixed-rank lattice and ``k >= 0``; ``T^w`` stands for
 Rational expressions keep their denominators *factored* as a multiset of
 nonzero characters, each meaning a factor ``(1 - T^w)``.  Denominators are
 never expanded unless an operation requires it (equality by
-cross-multiplication, exact reduction).
+cross-multiplication, exact reduction).  Since every denominator is a
+product of such factors, the only division is exact division by one
+``1 - T^w``: :meth:`SparsePoly.div_by_one_minus` on monomials and
+:func:`_over_one_minus` on the packed one-variable keys of :class:`PackedBox`.
 
 Character entries are ordered ``(t, t_1, ..., t_m)``; the rendered variable
 for ``t`` is ``T`` and for ``t_i`` is ``Ti``.
@@ -16,12 +19,11 @@ for ``t`` is ``T`` and for ``t_i`` is ``Ti``.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
 
@@ -52,11 +54,6 @@ def _norm(c: Coeff) -> Coeff:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
-
-
-def _divc(a: Coeff, b: Coeff) -> Coeff:
-    """Exact division of coefficients (never float)."""
-    return _norm(Fraction(a) / Fraction(b))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,12 +98,6 @@ class Character:
 
     def scaled(self, k: int) -> Character:
         return Character(tuple(k * a for a in self.coeffs))
-
-    def padded(self, arity: int) -> Character:
-        """Embed into a larger lattice by appending zero entries."""
-        if arity < self.arity:
-            raise IllFormedMap(f"cannot pad arity {self.arity} down to {arity}")
-        return Character(self.coeffs + (0,) * (arity - self.arity))
 
     def is_sign_canonical(self) -> bool:
         """True when the first nonzero entry is positive (zero counts too)."""
@@ -327,12 +318,6 @@ class SparsePoly:
                 del acc[nm]
         return SparsePoly(target, {m: _norm(c) for m, c in acc.items()})
 
-    def pad_to(self, arity: int) -> SparsePoly:
-        """Embed into a larger lattice by zero-padding every character."""
-        if arity == self.arity:
-            return self
-        return SparsePoly(arity, {Monomial(m.char.padded(arity), m.ypow): c for m, c in self.terms.items()})
-
     def evaluate(self, tvals: Sequence[Fraction], yval: Coeff) -> Coeff:
         """Evaluate at exact rational values (one per T-variable)."""
         if len(tvals) != self.arity:
@@ -389,86 +374,6 @@ class SparsePoly:
                 if running:
                     out[Monomial(Character(tuple(a + k * b for a, b in zip(rep, wc))), ypow)] = _norm(running)
         return SparsePoly(self.arity, out)
-
-    def div_exact(self, d: SparsePoly) -> SparsePoly:
-        """Exact division; raises :class:`NotDivisible` on any remainder.
-
-        >>> T = SparsePoly.monomial(Character((1,)))
-        >>> (1 - T**2).div_exact(1 - T)
-        1 + T
-        >>> (1 - T).div_exact(1 - T**2)
-        Traceback (most recent call last):
-            ...
-        eck.algebra.NotDivisible: remainder on line (0,) (y^0)
-        """
-        if isinstance(d, (int, Fraction)):
-            d = SparsePoly.constant(self.arity, d)
-        self._check(d)
-        if d.is_zero:
-            raise DivisionByZero("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        if len(d.terms) == 2:
-            q = self._try_binomial_division(d)
-            if q is not None:
-                return q
-        return self._div_general(d)
-
-    def _try_binomial_division(self, d: SparsePoly) -> SparsePoly | None:
-        """Fast path when d = c * T^a * (1 - T^w) with no y in d."""
-        (m1, c1), (m2, c2) = d.terms.items()
-        if m1.ypow or m2.ypow:
-            return None
-        if c1 + c2 != 0:
-            return None
-        # d = c1*T^{m1} + c2*T^{m2} = -c2 * T^{m1} * (1 - T^{m2-m1})
-        w = m2.char - m1.char
-        q = self.div_by_one_minus(w)
-        return q.shifted(-m1.char, coeff=_divc(1, -c2))
-
-    def _div_general(self, d: SparsePoly) -> SparsePoly:
-        dims = self.arity + 1  # (ypow, chr...)
-
-        def vec(m: Monomial) -> tuple[int, ...]:
-            return (m.ypow,) + m.char.coeffs
-
-        pvecs = [vec(m) for m in self.terms]
-        dvecs = [vec(m) for m in d.terms]
-        lo = tuple(min(v[i] for v in pvecs) - min(v[i] for v in dvecs) for i in range(dims))
-        hi = tuple(max(v[i] for v in pvecs) - max(v[i] for v in dvecs) for i in range(dims))
-        if any(a > b for a, b in zip(lo, hi)) or lo[0] < 0:
-            raise NotDivisible("quotient support leaves the Newton box")
-
-        dlead = max(d.terms, key=_order_key)
-        dlc = d.terms[dlead]
-        drest = [(m, c) for m, c in d.terms.items() if m != dlead]
-
-        rem = dict(self.terms)
-        heap = [tuple(-a for a in vec(m)) for m in rem]
-        heapq.heapify(heap)
-        q: dict = {}
-        while rem:
-            nk = heapq.heappop(heap)
-            m = Monomial(Character(tuple(-a for a in nk[1:])), -nk[0])
-            if m not in rem:
-                continue  # stale entry
-            c = rem.pop(m)
-            tm = Monomial(m.char - dlead.char, m.ypow - dlead.ypow)
-            tv = vec(tm)
-            if any(a < b for a, b in zip(tv, lo)) or any(a > b for a, b in zip(tv, hi)):
-                raise NotDivisible("quotient support leaves the Newton box")
-            tc = _divc(c, dlc)
-            q[tm] = tc
-            for dm, dc in drest:
-                nm = Monomial(tm.char + dm.char, tm.ypow + dm.ypow)
-                nc = rem.get(nm, 0) - tc * dc
-                if nc:
-                    if nm not in rem:
-                        heapq.heappush(heap, tuple(-a for a in vec(nm)))
-                    rem[nm] = nc
-                else:
-                    rem.pop(nm, None)
-        return SparsePoly(self.arity, {m: _norm(c) for m, c in q.items()})
 
     def __str__(self) -> str:
         from .render import poly_text
@@ -535,11 +440,18 @@ class PackedBox:
         return SparsePoly(len(self.lo), {self.monomial(k): _norm(c) for k, c in f.items()})
 
 
-def _times_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
-    """Multiply a packed polynomial by ``1 - z^step``: shift and subtract."""
+def _times_binomial(f: dict[int, Coeff], step: int, sign: int) -> dict[int, Coeff]:
+    """Multiply a packed polynomial by ``1 + sign * z^step``: shift and add
+    (``sign = 1``) or subtract (``sign = -1``).
+
+    >>> _times_binomial({0: 1, 1: 2}, 1, -1)
+    {0: 1, 1: 1, 2: -2}
+    >>> _times_binomial({0: 1, 2: -1}, 2, 1)
+    {0: 1, 4: -1}
+    """
     out = dict(f)
     for key, c in f.items():
-        nc = out.get(key + step, 0) - c
+        nc = out.get(key + step, 0) + sign * c
         if nc:
             out[key + step] = nc
         else:
@@ -547,20 +459,9 @@ def _times_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
     return out
 
 
-def _times_one_plus(f: dict[int, Coeff], step: int) -> dict[int, Coeff]:
-    """Multiply a packed polynomial by ``1 + z^step``: shift and add."""
-    out = dict(f)
-    for key, c in f.items():
-        nc = out.get(key + step, 0) + c
-        if nc:
-            out[key + step] = nc
-        else:
-            del out[key + step]
-    return out
-
-
-def _add_into(total: dict[int, Coeff], f: dict[int, Coeff]) -> None:
-    """Add the packed polynomial ``f`` to ``total`` in place."""
+def _add_into(total: dict, f: Mapping) -> None:
+    """Add the sparse polynomial ``f`` to ``total`` in place.  Keys may be of
+    any type (packed ints, exponent tuples); neither dict stores a zero."""
     for k, c in f.items():
         nc = total.get(k, 0) + c
         if nc:
@@ -841,11 +742,6 @@ class RatExpr:
                 raise DenominatorVanishes(f"map sends denominator factor {w.coeffs} to 1 - T^0")
             den.append(m.char)
         return RatExpr(num, tuple(den))
-
-    def pad_to(self, arity: int) -> RatExpr:
-        if arity == self.arity:
-            return self
-        return RatExpr(self.num.pad_to(arity), tuple(w.padded(arity) for w in self.den))
 
     def __str__(self) -> str:
         from .render import ratexpr_text

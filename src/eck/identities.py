@@ -48,7 +48,7 @@ from .algebra import (
     SparsePoly,
     _add_into,
     _over_one_minus,
-    _times_one_minus,
+    _times_binomial,
     weight_box,
 )
 from .hirzebruch import (
@@ -390,7 +390,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         total: dict[int, Coeff] = {}
         for part, den in parts:
             for w in _without(common, den):
-                part = _times_one_minus(part, key(w.coeffs))
+                part = _times_binomial(part, key(w.coeffs), -1)
             _add_into(total, part)
         return total
 

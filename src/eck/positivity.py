@@ -38,8 +38,7 @@ from .algebra import (
     SparsePoly,
     _add_into,
     _norm,
-    _times_one_minus,
-    _times_one_plus,
+    _times_binomial,
     weight_box,
 )
 from .hirzebruch import ProductTerm, affine_class
@@ -50,17 +49,6 @@ SKey = tuple[int, ...]  # (delta exponent, S-exponent per weight)
 
 class StructuralRewriteFailed(ArithmeticError):
     """A monomial T^v was not a nonnegative combination of ambient weights."""
-
-
-def _dict_add(a: dict, b: Mapping) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, 0) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
 
 
 def _dict_mul(a: Mapping, b: Mapping) -> dict:
@@ -172,7 +160,7 @@ class SPolynomial:
             *weight_box((w for w, e in zip(self.weights, tops[1:]) for _ in range(e)), arity),
             1 + tops[0],
         )
-        steps = [(_times_one_plus, 1)] + [(_times_one_minus, box.key(w.coeffs)) for w in self.weights]
+        steps = [(1, 1)] + [(box.key(w.coeffs), -1) for w in self.weights]
         parity = len(self.den)
 
         def nest(terms: list[tuple[SKey, Coeff]], j: int) -> dict[int, Coeff]:
@@ -180,18 +168,18 @@ class SPolynomial:
             if len(terms) == 1:
                 ((key, c),) = terms
                 out = {0: -c if (sum(key) + parity) % 2 else c}
-                for (times, step), e in zip(steps[j:], key[j:]):
+                for (step, sign), e in zip(steps[j:], key[j:]):
                     for _ in range(e):
-                        out = times(out, step)
+                        out = _times_binomial(out, step, sign)
                 return out
             groups: dict[int, list] = {}
             for key, c in terms:
                 groups.setdefault(key[j], []).append((key, c))
-            times, step = steps[j]
+            step, sign = steps[j]
             out: dict[int, Coeff] = {}
             for e in range(max(groups), -1, -1):
                 if out:
-                    out = times(out, step)
+                    out = _times_binomial(out, step, sign)
                 if e in groups:
                     _add_into(out, nest(groups[e], j + 1))
             return out
@@ -299,7 +287,7 @@ def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) ->
             part = _dict_mul(part, _h_minus_one_num(width, i) if minus_one else _h_num(width, i))
         for w in left_out:  # lift to the common denominator prod S_w
             part = _dict_mul(part, _s_var(width, _weight_index(weights, w)))
-        total = _dict_add(total, part)
+        _add_into(total, part)
     return total
 
 
@@ -316,10 +304,12 @@ def product_of_weights_minus_one(weights: tuple[Character, ...], combo: Mapping[
         if e < 0:
             raise StructuralRewriteFailed(f"negative multiplicity {e} for weight {w.coeffs}")
         i = _weight_index(weights, w)
-        s_plus_1 = _dict_add(_s_var(width, i), _one(width))
+        s_plus_1 = _s_var(width, i)
+        _add_into(s_plus_1, _one(width))
         for _ in range(e):
             out = _dict_mul(out, s_plus_1)
-    return _dict_add(out, _dict_scale(_one(width), -1))
+    _add_into(out, _dict_scale(_one(width), -1))
+    return out
 
 
 def cq_step_correction(n: int) -> SPolynomial:
@@ -335,7 +325,9 @@ def cq_step_correction(n: int) -> SPolynomial:
         raise ValueError("the recursion step needs n >= 2")
     t = geo.t
     st = _s_var(2, 0)
-    num = _dict_mul({(1, 0): 1}, _dict_add(_dict_mul(st, st), _dict_scale(st, 2)))
+    st_sq = _dict_mul(st, st)
+    _add_into(st_sq, _dict_scale(st, 2))
+    num = _dict_mul({(1, 0): 1}, st_sq)
     return SPolynomial((t,), num, (geo.affine_weight(geo.m), geo.affine_weight(-geo.m)))
 
 
@@ -372,7 +364,8 @@ def _cq_spoly_num(geo: GeometryConfig, weights: tuple[Character, ...], nsub: int
     for j in geo.indices_for(nsub - 2):
         cnum = _dict_mul(cnum, _h_num(width, _weight_index(weights, geo.affine_weight(j))))
     term2 = _dict_mul(cnum, _correction_num(geo, weights, msub))
-    return _dict_add(term1, term2)
+    _add_into(term1, term2)
+    return term1
 
 
 def to_positive_form(kind: str, n: int) -> SPolynomial:

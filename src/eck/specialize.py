@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping
 
-from .algebra import Character, Coeff, RatExpr, _norm
+from .algebra import Character, Coeff, RatExpr, _add_into, _norm
 from .hirzebruch import LocalClass
 
 _BIG = 10**9
@@ -72,12 +72,7 @@ class BiSeries:
     def __add__(self, other: BiSeries) -> BiSeries:
         order = min(self.order, other.order)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
+        _add_into(out, other.terms)
         return BiSeries.make(out, order)
 
     def __neg__(self) -> BiSeries:

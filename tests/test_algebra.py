@@ -116,32 +116,32 @@ def test_cleared_identity_fraction_oracle():
 
 def test_div_exact_binomial():
     T = mono(1)
-    assert (1 - T * T).div_exact(1 - T) == 1 + T
+    assert (1 - T * T).div_by_one_minus(Character((1,))) == 1 + T
 
 
 def test_div_exact_with_y():
     T = mono(1)
     y = yvar(1)
     p = (y + 1) * T - (y + 1) * T * T
-    assert p.div_exact(1 - T) == (y + 1) * T
+    assert p.div_by_one_minus(Character((1,))) == (y + 1) * T
 
 
 def test_div_exact_not_divisible():
-    T = mono(1)
     with pytest.raises(NotDivisible):
-        (1 - T).div_exact(1 - T * T)
+        (1 - mono(1)).div_by_one_minus(Character((2,)))
 
 
 def test_div_by_zero():
     T = mono(1)
     with pytest.raises(DivisionByZero):
-        (1 - T).div_exact(SparsePoly.zero(1))
+        (1 - T).div_by_one_minus(Character((0,)))
 
 
-def test_div_by_one_minus_matches_div_exact():
-    w = Character((1, -1))
-    p = (1 - SparsePoly.monomial(w)) * (mono(1, 0) + 3 * yvar(2))
-    assert p.div_by_one_minus(w) == p.div_exact(1 - SparsePoly.monomial(w))
+def test_div_by_one_minus_gives_the_known_quotient():
+    # (1 - T T1^-1) (T + 3y) = T + 3y - T^2 T1^-1 - 3y T T1^-1
+    y = yvar(2)
+    p = mono(1, 0) + 3 * y - mono(2, -1) - 3 * y * mono(1, -1)
+    assert p.div_by_one_minus(Character((1, -1))) == mono(1, 0) + 3 * y
 
 
 # -- rational expressions ----------------------------------------------------
@@ -311,10 +311,14 @@ def test_div_mul_roundtrip_randomized():
     for _ in range(30):
         arity = rng.randint(1, 2)
         q = _random_poly(rng, arity)
-        d = _random_poly(rng, arity, nterms=3)
-        if d.is_zero:
-            continue
-        assert (q * d).div_exact(d) == q
+        ws = [Character(tuple(rng.randint(-2, 2) for _ in range(arity))) for _ in range(rng.randint(1, 3))]
+        ws = [w for w in ws if not w.is_zero()]
+        p = q
+        for w in ws:
+            p = p.mul_one_minus(w)
+        for w in ws:  # not the reverse: each quotient is exact, in any order
+            p = p.div_by_one_minus(w)
+        assert p == q
 
 
 def test_evaluation_homomorphism_randomized():

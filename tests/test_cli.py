@@ -2,6 +2,9 @@
 the dimension cap, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -228,3 +231,23 @@ def test_unwritable_out_is_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import eck, eck.cli
+print("\\n".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    """``import eck, eck.cli`` in a fresh interpreter loads no third-party
+    module: the runtime has no dependencies, though the tests use sympy and
+    hypothesis."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True)
+    loaded = set(probe.stdout.split())
+    assert "eck" in loaded
+    assert sorted(loaded - {"eck"} - sys.stdlib_module_names) == []
