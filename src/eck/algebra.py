@@ -37,8 +37,8 @@ class NotDivisible(ArithmeticError):
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Division by zero: zero divisor polynomial or a zero character in a
-    denominator (the factor 1 - T^0 vanishes identically)."""
+    """Division by zero: a zero character in a denominator or divisor (the
+    factor 1 - T^0 vanishes identically)."""
 
 
 class DenominatorVanishes(ZeroDivisionError):
@@ -451,17 +451,17 @@ def _times_binomial(f: dict[int, Coeff], step: int, sign: int) -> dict[int, Coef
     """
     out = dict(f)
     for key, c in f.items():
-        nc = out.get(key + step, 0) + sign * c
+        k = key + step
+        nc = out.get(k, 0) + sign * c
         if nc:
-            out[key + step] = nc
+            out[k] = nc
         else:
-            del out[key + step]
+            del out[k]
     return out
 
 
 def _add_into(total: dict, f: Mapping) -> None:
-    """Add the sparse polynomial ``f`` to ``total`` in place.  Keys may be of
-    any type (packed ints, exponent tuples); neither dict stores a zero."""
+    """Add the sparse polynomial ``f`` to ``total`` in place (any key type; no stored zeros)."""
     for k, c in f.items():
         nc = total.get(k, 0) + c
         if nc:

@@ -127,8 +127,10 @@ def test_div_exact_with_y():
 
 
 def test_div_exact_not_divisible():
+    # the y^0 line divides, the y^1 line leaves a remainder
+    T = mono(1)
     with pytest.raises(NotDivisible):
-        (1 - mono(1)).div_by_one_minus(Character((2,)))
+        (1 - T + yvar(1) * T).div_by_one_minus(Character((1,)))
 
 
 def test_div_by_zero():

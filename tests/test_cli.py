@@ -247,7 +247,9 @@ def test_runtime_imports_only_the_standard_library():
     hypothesis."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True)
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
     loaded = set(probe.stdout.split())
     assert "eck" in loaded
     assert sorted(loaded - {"eck"} - sys.stdlib_module_names) == []
