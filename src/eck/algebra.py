@@ -11,7 +11,7 @@ never expanded unless an operation requires it (equality by
 cross-multiplication, exact reduction).  Since every denominator is a
 product of such factors, the only division is exact division by one
 ``1 - T^w``: :meth:`SparsePoly.div_by_one_minus` on monomials and
-:func:`_over_one_minus` on the packed one-variable keys of :class:`PackedBox`.
+:func:`_over_one_minus` on :class:`PackedBox` keys (``1 - z^a``, either sign).
 
 Character entries are ordered ``(t, t_1, ..., t_m)``; the rendered variable
 for ``t`` is ``T`` and for ``t_i`` is ``Ti``.
@@ -471,12 +471,22 @@ def _add_into(total: dict, f: Mapping) -> None:
 
 
 def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
-    """Exact quotient of a packed polynomial by ``1 - z^step`` (``step > 0``)
-    by prefix sums per residue class mod ``step``, or None when a remainder
-    is left or a quotient key would pass ``top``."""
+    """Exact quotient of a packed polynomial by ``1 - z^a`` (``a = step``,
+    either sign) by prefix sums per residue class mod ``|a|``, or None when a
+    remainder is left or a quotient key would pass ``top``.  For ``a < 0``,
+    ``1 - z^a = -z^a (1 - z^-a)``: the sums are bounded by ``top + a``,
+    shifted by ``-a`` and negated.
+
+    >>> _over_one_minus({0: 1, 2: -1}, 1, 1)
+    {0: 1, 1: 1}
+    >>> _over_one_minus({0: 1, 2: -1}, -1, 2)
+    {1: -1, 2: -1}
+    """
+    size = abs(step)
+    shift = 0 if step > 0 else size
     lines: dict[int, list[int]] = {}
     for key in sorted(f):
-        lines.setdefault(key % step, []).append(key)
+        lines.setdefault(key % size, []).append(key)
     out: dict[int, Coeff] = {}
     for keys in lines.values():
         running: Coeff = 0
@@ -484,10 +494,11 @@ def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff
             running += f[key]
             if not running:
                 continue
-            if j + 1 == len(keys) or keys[j + 1] - step > top:
+            if j + 1 == len(keys) or keys[j + 1] - size + shift > top:
                 return None
-            for k in range(key, keys[j + 1], step):
-                out[k] = running
+            c = -running if shift else running
+            for k in range(key + shift, keys[j + 1] + shift, size):
+                out[k] = c
     return out
 
 

@@ -28,9 +28,9 @@ Formulas:
              direct CCQ_n / CCX_n classes.
 
 :func:`integrate_projective` sums the localized values over the fixed points
-to the chi_y polynomial, in one packed variable: each antipodal pair
-``p_i``, ``p_{-i}`` is added and its cancelling denominator factors divided
-out before the pairs are merged and the rest is divided exactly.
+to the chi_y polynomial in one packed variable with one cancel step (add
+over the common denominator, divide out each factor that divides), run per
+antipodal pair ``p_i``, ``p_{-i}`` and once more to merge the pairs.
 """
 
 from __future__ import annotations
@@ -338,24 +338,27 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     (:func:`~eck.algebra.weight_box`) without expanding anything, and
     ``ystride`` exceeds every y-power.
 
-    The points are summed in the Atiyah-Bott/GKM order: ``p_i`` with
-    ``p_{-i}`` first, since the poles a pair shares cancel as soon as its two
-    points are added.  Each numerator of a pair is multiplied by the factors
-    ``1 - s^phi(w)`` of the pair's own common denominator that it lacks, by
-    shift-and-subtract, and the two are added; then every factor of that
-    denominator that divides the pair's sum exactly is divided out
-    (``1 - z^a = -z^a (1 - z^-a)`` for a negative step).  A point without a
-    partner (``p_0`` for odd n, or a pair with one zero value) is taken as it
-    stands.  The reduced pairs are lifted to the union of what is left of
-    their denominators and added, and the total is divided exactly by the
-    product over that union.  :class:`ResidualTDependence` is raised unless
-    every final division is exact and only ``s^0`` remains.
+    One cancel step does the work: it lifts packed numerators to their
+    common denominator by shift-and-subtract, adds them, and divides out,
+    in character order, each factor of that denominator that divides the
+    sum with no quotient key past the packed top of the box (a factor that
+    fails is not retried).  Each antipodal pair ``p_i``, ``p_{-i}`` of two
+    nonzero values goes through it first (the Atiyah-Bott/GKM order: the
+    poles a pair shares cancel as soon as its two points are added); then
+    the reduced pairs and any single point (``p_0`` for odd n, or a pair
+    with one zero value) go through it together.
+    :class:`ResidualTDependence` is raised unless that leaves no factor and
+    only ``s^0``.
 
-    The check is exactly as strong as summing over the full torus.  Every
-    step is an identity in the one-variable Laurent ring, whichever factors
-    the pairs cancel, so if it passes with result ``P(y)``, then
-    ``phi(N) = P * phi(D)``, so ``phi(N - P*D) = 0``; ``N - P*D`` lives in
-    the box, where ``phi`` is injective, hence ``N = P*D``.
+    The top bound refuses no division that holds over the full torus: such
+    a quotient lies in its dividend's Newton polytope, and if
+    ``N / D = P(y)``, each quotient of the last step is ``P`` times the
+    factors still to come.  A pair's factor it refuses waits for the last
+    step.  The check is exactly as strong as summing over the full torus.
+    Every step is an identity in the one-variable Laurent ring, so if it
+    passes with result ``P(y)``, then ``phi(N) = P * phi(D)``, so
+    ``phi(N - P*D) = 0``; ``N - P*D`` lives in the box, where ``phi`` is
+    injective, hence ``N = P*D``.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -384,54 +387,35 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     key = box.key
     top = key(tuple(hi)) + ystride - 1
 
-    def lifted(parts: list[tuple[dict[int, Coeff], Sequence[Character]]], common: list[Character]) -> dict[int, Coeff]:
-        """The packed numerators ``parts`` (each over its denominator) summed
-        over ``common`` by shift-and-subtract."""
+    def cancel(parts: list[tuple[dict[int, Coeff], Sequence[Character]]]) -> tuple[dict[int, Coeff], list[Character]]:
+        """Sum the packed numerators ``parts`` (each over its denominator)
+        over their common denominator and divide out each factor that
+        divides; return the quotient and the factors left."""
+        common = _union(den for _, den in parts)
         total: dict[int, Coeff] = {}
         for part, den in parts:
             for w in _without(common, den):
                 part = _times_binomial(part, key(w.coeffs), -1)
             _add_into(total, part)
-        return total
-
-    # A factor that divides a pair's sum over the full torus leaves a
-    # quotient inside the pair's Newton polytope, so inside the box: a run
-    # past its top is not such a division, and the factor waits for the merge.
-    reduced = []
-    for group in groups:
-        common = _union(v.den for v in group)
-        parts = [({key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
-        part, left, failed = lifted(parts, common), [], set()
+        left: list[Character] = []
         for w in common:
-            a = key(w.coeffs)
-            quotient = None if w in failed or len(group) == 1 else _over_one_minus(part, abs(a), top)
+            quotient = None if w in left else _over_one_minus(total, key(w.coeffs), top)
             if quotient is None:
-                failed.add(w)
                 left.append(w)
             else:
-                part = quotient if a > 0 else {k - a: -c for k, c in quotient.items()}
-        reduced.append((part, left))
-    factors = _union(den for _, den in reduced)
-    total = lifted(reduced, factors)
+                total = quotient
+        return total, left
 
-    # Divide by positive steps only, via 1 - z^a = -z^a (1 - z^-a) for a < 0,
-    # with the monomials z^a of the factors still to come folded into the
-    # total.  If N / D is a Laurent polynomial, each exact quotient is its
-    # product with the remaining factors, so no key passes the packed top
-    # of the box; a run past it cannot be exact, which bounds the work.
-    steps = [key(w.coeffs) for w in factors]
-    pending = sum(min(0, a) for a in steps)
-    sign = (-1) ** sum(1 for a in steps if a < 0)
-    total = {k - pending: sign * c for k, c in total.items()}
-    for w, a in zip(factors, steps):
-        pending -= min(0, a)
-        quotient = _over_one_minus(total, abs(a), top - pending)
-        if quotient is None:
-            raise ResidualTDependence(
-                f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
-                f"the factor (1 - {SparsePoly.monomial(w)}) of the common denominator did not cancel"
-            )
-        total = quotient
+    reduced = []
+    for group in groups:
+        parts = [({key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
+        reduced.append(cancel(parts) if len(parts) == 2 else parts[0])
+    total, left = cancel(reduced)
+    if left:
+        raise ResidualTDependence(
+            f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
+            f"the factor (1 - {SparsePoly.monomial(left[0])}) of the common denominator did not cancel"
+        )
     leftover = [(k, c) for k, c in sorted(total.items()) if not 0 <= k < ystride]
     if leftover:
         k, c = leftover[0]

@@ -1,25 +1,22 @@
 """Specializations of the cone classes: diagonal restriction (t_i -> 0),
 truncated bivariate series, the CSM limit, and multidegree extraction.
+Both act on the diagonalized class, in the one variable ``T``:
 
-Series expansion only happens after the diagonal specialization, so every
-series is (Laurent) bivariate in ``u`` and ``t``:
-
-* the CSM limit substitutes ``y = u - 1`` and ``T = e^{-u t}`` and takes the
-  ``u^0`` row (``u -> 0``), after checking that all negative-``u`` rows
-  cancel;
+* the CSM limit substitutes ``y = u - 1`` and ``T = e^{-u t}`` in (Laurent)
+  bivariate series in ``u`` and ``t``, and takes the ``u^0`` row
+  (``u -> 0``), after checking that all negative-``u`` rows cancel.  The
+  series are exact through a tracked truncation order: every arithmetic
+  operation propagates the order through valuations, so a coefficient
+  below the order bound is exact, never an approximation;
 * the multidegree substitutes a fixed ``y`` (0 by default) and ``T = e^{-t}``
-  and reads off the bottom (lowest-degree) term.
-
-Both expansions are exact through a tracked truncation order: every
-arithmetic operation propagates the order through valuations, so a
-coefficient below the order bound is exact, never an approximation.
+  and reads off the bottom term exactly, with no series and no truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping
 
 from .algebra import Character, Coeff, RatExpr, _add_into, _norm
@@ -37,7 +34,7 @@ class NonvanishingNegativeUPart(ArithmeticError):
 
 
 class ZeroClass(ArithmeticError):
-    """No bottom term: the expanded class is zero through the precision."""
+    """No bottom term: the class is zero."""
 
 
 def _totdeg(key: tuple[int, int]) -> int:
@@ -144,12 +141,6 @@ def exp_ut(c: int, order: int) -> BiSeries:
     return BiSeries.make(terms, order)
 
 
-def exp_t(c: int, order: int) -> BiSeries:
-    """``exp(c * t)`` (no u-dependence) through the truncation order."""
-    terms = {(0, r): Fraction(c**r, factorial(r)) for r in range(order)}
-    return BiSeries.make(terms, order)
-
-
 def _char_exponent(w: Character) -> int:
     """The single exponent k of a diagonal character (T^w = T^k)."""
     if w.arity != 1:
@@ -222,21 +213,20 @@ def multidegree(diag: RatExpr, n: int, y: Coeff = 0) -> tuple[Coeff, int]:
     fundamental class divided by ``eu(0) = t^n``).
 
     Returns ``(coefficient, degree)``; for the quadratic cone at y = 0 this
-    is ``(2, 1 - n)``.
+    is ``(2, 1 - n)``.  Exact, with no series: each ``1 - e^{-kt}`` starts
+    with ``kt``, so the bottom term is the first nonzero
+    ``a_j = sum c (-k)^j / j!`` of the numerator ``sum c e^{-kt}`` over
+    ``prod k``, in degree ``j - len(den)``; with distinct ``k``, only the
+    zero sum has ``a_j = 0`` for all ``j < #terms`` (Vandermonde).
     """
     fixed = diag.subs_y(y)
-    order = n + len(fixed.den) + 8
-    num = BiSeries.zero(order)
-    for mono, c in fixed.num.sorted_terms():
-        num = num + exp_t(-_char_exponent(mono.char), order).scaled(c)
-    den = BiSeries.one(order)
-    for w in fixed.den:
-        den = den * (BiSeries.one(order) - exp_t(-_char_exponent(w), order))
-    series = num * den.inverse()
-    if not series.terms:
-        raise ZeroClass("class expands to zero through the working precision")
-    bottom = min(b for (_, b) in series.terms)
-    return (series.terms[(0, bottom)], bottom)
+    terms = [(_char_exponent(mono.char), c) for mono, c in fixed.num.sorted_terms()]
+    scale = prod(_char_exponent(w) for w in fixed.den)
+    for j in range(len(terms)):
+        a = sum(Fraction(c) * (-k) ** j for k, c in terms)
+        if a:
+            return (_norm(a / (factorial(j) * scale)), j - len(fixed.den))
+    raise ZeroClass("the class is zero")
 
 
 def diagonalize(cls: LocalClass) -> RatExpr:

@@ -23,6 +23,8 @@ from eck.algebra import (
     RatExpr,
     SparsePoly,
     _norm,
+    _over_one_minus,
+    _times_binomial,
     hfactor_expr,
     hfactor_minus_one_expr,
     sample_points,
@@ -522,6 +524,29 @@ def test_div_by_one_minus_agrees_with_the_line_by_line_division(pw, multiple):
 def test_not_divisible_message_is_unchanged():
     with pytest.raises(NotDivisible, match=r"^remainder on line \(0,\) \(y\^0\)$"):
         (1 - mono(1)).div_by_one_minus(Character((2,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool), max_size=8),
+    st.integers(-6, 6).filter(bool),
+)
+def test_packed_division_undoes_times_one_minus(f, step):
+    """Either sign of step, with the top bound at the top key of ``f``."""
+    assert _over_one_minus(_times_binomial(f, step, -1), step, max(f, default=0)) == f
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_division_refuses_a_remainder(sign):
+    assert _over_one_minus({0: 1, 1: 1}, 2 * sign, 10) is None  # 1 + z over 1 - z^{+-2}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_division_refuses_a_quotient_past_top(sign):
+    """``(1 - z^2) / (1 - z^{+-1})`` is ``1 + z`` or ``-z - z^2``."""
+    quotient = _over_one_minus({0: 1, 2: -1}, sign, 3)
+    assert quotient == ({0: 1, 1: 1} if sign > 0 else {1: -1, 2: -1})
+    assert _over_one_minus({0: 1, 2: -1}, sign, max(quotient) - 1) is None
 
 
 def test_equivalent_does_not_depend_on_the_sample_points():

@@ -4,7 +4,7 @@ polynomials, with frozen small-case values."""
 import re
 
 import pytest
-from genus_route import genus_closed_form
+from bench_loader import load_bench
 
 from eck import identities
 
@@ -18,6 +18,8 @@ from eck.identities import (
     verify,
 )
 from eck.torus import GeometryConfig
+
+genus_closed_form = load_bench("oracles").genus_closed_form
 
 
 def test_formula_registry():
@@ -223,6 +225,21 @@ def test_integration_rejects_a_perturbation_at_any_point(point):
     with pytest.raises(ResidualTDependence, match="broken_5"):
         integrate_projective(broken)
     assert not _full_torus_sum(broken).num.is_y_only()
+
+
+def test_integration_names_what_kept_t_dependence():
+    """The two messages of the merge.  A sum of ``1 / (1 - T1)`` alone has the
+    numerator 1, pure in y, so only the factor left over shows the
+    T-dependence; the perturbed P_5 sum divides out every factor and keeps a
+    term."""
+    geo = GeometryConfig(2)
+    one_pole = RatExpr(SparsePoly.one(geo.arity), (Character.basis(geo.arity, 1),))
+    values = {i: one_pole if i == 1 else RatExpr.zero(geo.arity) for i in geo.indices}
+    broken = LocalClass(geometry=geo, space="broken", n=2, values=values, recipes={i: () for i in geo.indices})
+    with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_2 kept T-dependence: the factor \(1 - T1\) of the common denominator did not cancel$"):
+        integrate_projective(broken)
+    with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_5 kept T-dependence: leftover term T1\^2$"):
+        integrate_projective(_p5_with({1: _EXTRA}))
 
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)

@@ -220,3 +220,11 @@ def test_full_space_multidegree():
 def test_multidegree_at_other_y():
     # 2 h(T) - 1 = (1 + 3T)/(1 - T) at y = 1: leading coefficient 4, shift -1
     assert multidegree(diagonalize(affine_class("CQ", 2)), 2, y=Fraction(1)) == (4, -1)
+
+
+def test_multidegree_past_the_first_order():
+    """``(1 - T)^3 / (1 - T^2)`` at ``T = e^{-t}`` is ``t^3 (1 + ...) / (2t (1 + ...))``:
+    the numerator vanishes to order three, and the bottom term is ``t^2 / 2``."""
+    t = Character((1,))
+    cube = SparsePoly.one(1).mul_one_minus(t).mul_one_minus(t).mul_one_minus(t)
+    assert multidegree(RatExpr(cube, (t.scaled(2),)), 1) == (Fraction(1, 2), 2)

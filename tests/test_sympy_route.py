@@ -2,19 +2,23 @@
 ``eck.algebra``: each recipe ``sum c * y^k * prod(h or h - 1)`` is built as
 a sympy expression with ``h = (1 + y T^w) / (1 - T^w)``, each computed value
 ``num / prod (1 - T^w)`` is read term by term into sympy, and
-``sympy.cancel`` must take their difference to 0.  Only the plain data of a
-value (its term dict, denominator characters and their entries) crosses
-over; no ``eck`` arithmetic runs on the sympy side."""
+``sympy.cancel`` must take their difference to 0.  The multidegree is
+checked the same way: the diagonalized class, read into sympy at
+``T = e^{-t}``, must have the bottom term of sympy's series in ``t``.  Only
+the plain data of a value (its term dict, denominator characters and their
+entries) crosses over; no ``eck`` arithmetic runs on the sympy side."""
 
 from fractions import Fraction
 
 import pytest
 
 from eck.hirzebruch import AFFINE_KINDS, PROJECTIVE_KINDS, affine_class, projective_class
+from eck.specialize import diagonalize, multidegree
 
 sympy = pytest.importorskip("sympy")
 
 Y = sympy.Symbol("y")
+t = sympy.Symbol("t")
 
 
 def _tpow(ts, coeffs):
@@ -62,3 +66,13 @@ def test_projective_values_match_sympy(kind, n):
 def test_affine_values_match_sympy(kind, n):
     cls = affine_class(kind, n)
     assert _agree(cls.at_origin, cls.recipes)
+
+
+@pytest.mark.parametrize("y", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_multidegree_matches_the_sympy_series(kind, n, y):
+    diag = diagonalize(affine_class(kind, n))
+    ts = sympy.symbols("T0:1")
+    series = _value(ts, diag).subs({Y: y, ts[0]: sympy.exp(-t)})
+    assert multidegree(diag, n, y) == series.leadterm(t)
