@@ -484,6 +484,7 @@ def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff
     """
     size = abs(step)
     shift = 0 if step > 0 else size
+    last = top + size - shift
     lines: dict[int, list[int]] = {}
     for key in sorted(f):
         lines.setdefault(key % size, []).append(key)
@@ -494,7 +495,7 @@ def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff
             running += f[key]
             if not running:
                 continue
-            if j + 1 == len(keys) or keys[j + 1] - size + shift > top:
+            if j + 1 == len(keys) or keys[j + 1] > last:
                 return None
             c = -running if shift else running
             for k in range(key + shift, keys[j + 1] + shift, size):
