@@ -4,8 +4,9 @@ degenerations, and the affine cones over them.
 Everything is computed by localization at torus fixed points with exact
 rational arithmetic: classes are rational expressions with factored
 denominators, identities are checked by cross-multiplied polynomial
-equality, positivity is certified coefficient by coefficient, and the
-CSM/multidegree specializations go through exact truncated series.
+equality, positivity is certified coefficient by coefficient, the CSM
+specialization goes through exact truncated series, and the multidegree is
+read off exactly as the bottom term, with no series.
 """
 
 from .algebra import (

@@ -29,8 +29,16 @@ Formulas:
 
 :func:`integrate_projective` sums the localized values over the fixed points
 to the chi_y polynomial in one packed variable with one cancel step (add
-over the common denominator, divide out each factor that divides), run per
-antipodal pair ``p_i``, ``p_{-i}`` and once more to merge the pairs.
+over the common denominator, divide out each factor ``1 - T^w`` that
+divides, then ``1 + T^u`` from each factor ``1 - T^{2u}`` left), run per
+antipodal pair ``p_i``, ``p_{-i}`` on the factors along the pair's own
+T-curve (the multiples of ``t_i``) and once more on every factor to merge
+the pairs.  ``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is still an
+identity in the one-variable Laurent ring.  Each merge summand is a
+one-shot summand divided by factors ``1 - T^{2u}`` or ``1 + T^u``, whose
+Newton polytope it therefore lies in, so the one-shot box still holds every
+monomial.  Which step divides a factor can change, but the result ``P(y)``
+of the merge is unique.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .algebra import (
     SparsePoly,
     _add_into,
     _over_one_minus,
+    _over_one_plus,
     _times_binomial,
     weight_box,
 )
@@ -340,25 +349,39 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
 
     One cancel step does the work: it lifts packed numerators to their
     common denominator by shift-and-subtract, adds them, and divides out,
-    in character order, each factor of that denominator that divides the
-    sum with no quotient key past the packed top of the box (a factor that
-    fails is not retried).  Each antipodal pair ``p_i``, ``p_{-i}`` of two
-    nonzero values goes through it first (the Atiyah-Bott/GKM order: the
-    poles a pair shares cancel as soon as its two points are added); then
-    the reduced pairs and any single point (``p_0`` for odd n, or a pair
-    with one zero value) go through it together.
-    :class:`ResidualTDependence` is raised unless that leaves no factor and
-    only ``s^0``.
+    in character order, each factor ``1 - T^w`` of that denominator that
+    divides the sum with no quotient key past the packed top of the box (a
+    factor that fails is not retried); then, from each factor left whose
+    weight is ``w = 2u``, it tries ``1 + T^u`` and keeps ``1 - T^u`` in
+    place of ``1 - T^w`` when that divides.  Each antipodal pair ``p_i``,
+    ``p_{-i}`` of two nonzero values goes through it first (the
+    Atiyah-Bott/GKM order: the poles a pair shares cancel as soon as its
+    two points are added); then the reduced pairs and any single point
+    (``p_0`` for odd n, or a pair with one zero value) go through it
+    together.  :class:`ResidualTDependence` is raised unless that leaves no
+    factor and only ``s^0``.
+
+    A pair tries only the factors along its own T-curve, the multiples of
+    ``t_i`` (``p_i`` and ``p_{-i}`` are joined by the curve of weight
+    ``2 t_i``); every other pole of the pair is shared with a point outside
+    it and waits for the merge.  At odd n the pair's ``1 - T^{2 t_i}``
+    cannot divide, since its half ``1 - T^{t_i}`` is shared with ``p_0``,
+    and ``1 + T^{t_i}`` is the one factor the pair can lose.
 
     The top bound refuses no division that holds over the full torus: such
     a quotient lies in its dividend's Newton polytope, and if
     ``N / D = P(y)``, each quotient of the last step is ``P`` times the
     factors still to come.  A pair's factor it refuses waits for the last
     step.  The check is exactly as strong as summing over the full torus.
-    Every step is an identity in the one-variable Laurent ring, so if it
-    passes with result ``P(y)``, then ``phi(N) = P * phi(D)``, so
-    ``phi(N - P*D) = 0``; ``N - P*D`` lives in the box, where ``phi`` is
-    injective, hence ``N = P*D``.
+    ``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is an identity in
+    the one-variable Laurent ring, and if it passes with result ``P(y)``,
+    then ``phi(N) = P * phi(D)``, so ``phi(N - P*D) = 0``; ``N - P*D``
+    lives in the box, where ``phi`` is injective, hence ``N = P*D``.  Each
+    merge summand is the one-shot summand of its points divided by factors
+    ``1 - T^{2u}`` or ``1 + T^u``, and ``Newt(A) = Newt(B) + [0, v]``
+    contains ``Newt(B)`` for ``A = B (1 +- T^v)``, so the one-shot box
+    still holds every monomial.  Which step divides a factor can change,
+    but the result ``P(y)`` of the merge is unique.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -371,26 +394,35 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     arity = geo.arity
     pairs = [(0,)] if geo.odd else []
     pairs += [(-i, i) for i in range(1, geo.m + 1)]
-    groups = [[cls.values[i] for i in pair if not cls.values[i].is_zero] for pair in pairs]
-    groups = [group for group in groups if group]
-    values = [v for group in groups for v in group]
+    groups = [(pair[-1], [cls.values[i] for i in pair if not cls.values[i].is_zero]) for pair in pairs]
+    groups = [(axis, group) for axis, group in groups if group]
+    values = [v for _, group in groups for v in group]
     factors = _union(v.den for v in values)
     lo, hi = weight_box(factors, arity)
-    for v in values:
+    distinct = [{m.char.coeffs for m in v.num.terms} for v in values]
+    for v, chars in zip(values, distinct):
         rlo, rhi = weight_box(_without(factors, v.den), arity)
-        for m in v.num.terms:
-            for k, e in enumerate(m.char.coeffs):
-                lo[k] = min(lo[k], e + rlo[k])
-                hi[k] = max(hi[k], e + rhi[k])
+        for k, column in enumerate(zip(*chars)):
+            lo[k] = min(lo[k], min(column) + rlo[k])
+            hi[k] = max(hi[k], max(column) + rhi[k])
     ystride = 1 + max((m.ypow for v in values for m in v.num.terms), default=0)
     box = PackedBox(lo, hi, ystride)
     key = box.key
     top = key(tuple(hi)) + ystride - 1
+    packed = {e: key(e) for chars in distinct for e in chars}
 
-    def cancel(parts: list[tuple[dict[int, Coeff], Sequence[Character]]]) -> tuple[dict[int, Coeff], list[Character]]:
+    def cancel(
+        parts: list[tuple[dict[int, Coeff], Sequence[Character]]], axis: int | None = None
+    ) -> tuple[dict[int, Coeff], list[Character]]:
         """Sum the packed numerators ``parts`` (each over its denominator)
-        over their common denominator and divide out each factor that
-        divides; return the quotient and the factors left."""
+        over their common denominator and divide out each tried factor
+        ``1 - T^w`` that divides, then ``1 + T^u`` from each tried factor
+        ``w = 2u`` left; return the quotient and the factors left.  Every
+        factor is tried, or with ``axis = i`` only the multiples of ``t_i``."""
+
+        def tried(w: Character) -> bool:
+            return axis is None or not any(c for k, c in enumerate(w.coeffs) if k != axis)
+
         common = _union(den for _, den in parts)
         total: dict[int, Coeff] = {}
         for part, den in parts:
@@ -399,17 +431,23 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
             _add_into(total, part)
         left: list[Character] = []
         for w in common:
-            quotient = None if w in left else _over_one_minus(total, key(w.coeffs), top)
+            quotient = _over_one_minus(total, key(w.coeffs), top) if tried(w) and w not in left else None
             if quotient is None:
                 left.append(w)
             else:
                 total = quotient
+        for j, w in enumerate(left):
+            if tried(w) and not any(c % 2 for c in w.coeffs):
+                u = Character(tuple(c // 2 for c in w.coeffs))
+                quotient = _over_one_plus(total, key(u.coeffs), top)
+                if quotient is not None:
+                    total, left[j] = quotient, u
         return total, left
 
     reduced = []
-    for group in groups:
-        parts = [({key(m.char.coeffs) + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
-        reduced.append(cancel(parts) if len(parts) == 2 else parts[0])
+    for axis, group in groups:
+        parts = [({packed[m.char.coeffs] + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
+        reduced.append(cancel(parts, axis) if len(parts) == 2 else parts[0])
     total, left = cancel(reduced)
     if left:
         raise ResidualTDependence(

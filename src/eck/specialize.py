@@ -207,7 +207,7 @@ def csm(diag: RatExpr, n: int, order: int | None = None) -> tuple[Coeff, ...]:
     return tuple(coeffs)
 
 
-def multidegree(diag: RatExpr, n: int, y: Coeff = 0) -> tuple[Coeff, int]:
+def multidegree(diag: RatExpr, *, y: Coeff = 0) -> tuple[Coeff, int]:
     """Bottom term of the diagonalized class under ``T = e^{-t}`` at a fixed
     ``y`` (0 by default, where the bottom term is the equivariant
     fundamental class divided by ``eu(0) = t^n``).

@@ -129,7 +129,7 @@ def _csm_limits(max_n: int, seed: int) -> tuple[bool, str]:
 def _multidegrees(max_n: int, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for n in range(2, max_n + 1):
-        got = multidegree(diagonalize(affine_class("CQ", n)), n)
+        got = multidegree(diagonalize(affine_class("CQ", n)))
         if got != (2, 1 - n):
             bad.append(f"n={n}: {got}")
     if bad:

@@ -217,14 +217,55 @@ def test_integration_cancels_a_perturbation_across_a_pair():
     assert got.y_coefficients() == {p: (-1) ** p for p in range(5)}
 
 
-@pytest.mark.parametrize("point", [-1, 2])
+@pytest.mark.parametrize("point", [-1, 0, 2])
 def test_integration_rejects_a_perturbation_at_any_point(point):
     """The corruption of ``test_integration_keeps_full_torus_strength``, at
-    the other end of the first pair and in the second pair."""
+    the other end of the first pair, at the unpaired point ``p_0`` and in
+    the second pair."""
     broken = _p5_with({point: _EXTRA})
     with pytest.raises(ResidualTDependence, match="broken_5"):
         integrate_projective(broken)
     assert not _full_torus_sum(broken).num.is_y_only()
+
+
+def _counting_divisions(monkeypatch) -> dict[tuple[str, bool], int]:
+    """Count the packed divisions ``integrate_projective`` makes, keyed by
+    ``(name, refused)``."""
+    counts: dict[tuple[str, bool], int] = {}
+    for name in ("_over_one_minus", "_over_one_plus"):
+        divide = getattr(identities, name)
+
+        def counted(f, step, top, divide=divide, name=name):
+            quotient = divide(f, step, top)
+            counts[name, quotient is None] = counts.get((name, quotient is None), 0) + 1
+            return quotient
+
+        monkeypatch.setattr(identities, name, counted)
+    return counts
+
+
+def test_integration_rejects_a_perturbation_the_pair_step_divides(monkeypatch):
+    """``(1 + T1)(T1^2 - T2)`` added at ``p_1``: both pairs still divide by
+    their ``1 + T^{t_i}``, the perturbed pair ``p_1``, ``p_-1`` too, and the
+    merge still rejects the sum."""
+    counts = _counting_divisions(monkeypatch)
+    broken = _p5_with({1: (SparsePoly.one(3) + SparsePoly.monomial(Character((0, 1, 0)))) * _EXTRA})
+    with pytest.raises(ResidualTDependence, match="broken_5"):
+        integrate_projective(broken)
+    assert counts[("_over_one_plus", False)] == 2 and ("_over_one_plus", True) not in counts
+    assert not _full_torus_sum(broken).num.is_y_only()
+
+
+def test_pair_step_tries_only_the_pair_curve(monkeypatch):
+    """A work-count guard: each pair tries only the factors along its own
+    T-curve (the multiples of ``t_i``), so few packed divisions are refused;
+    trying every factor of the pair refuses 32 at Qc_9."""
+    counts = _counting_divisions(monkeypatch)
+    for kind, n, most in (("Qc", 9, 8), ("P", 7, 6)):
+        counts.clear()
+        assert chi_y(kind, n).y_coefficients() == genus_closed_form(kind, n)
+        refused = sum(k for (_, no), k in counts.items() if no)
+        assert refused <= most, (kind, n, counts)
 
 
 def test_integration_names_what_kept_t_dependence():

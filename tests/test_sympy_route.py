@@ -75,4 +75,4 @@ def test_multidegree_matches_the_sympy_series(kind, n, y):
     diag = diagonalize(affine_class(kind, n))
     ts = sympy.symbols("T0:1")
     series = _value(ts, diag).subs({Y: y, ts[0]: sympy.exp(-t)})
-    assert multidegree(diag, n, y) == series.leadterm(t)
+    assert multidegree(diag, y=y) == series.leadterm(t)
