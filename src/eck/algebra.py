@@ -288,9 +288,13 @@ class SparsePoly:
 
     def subs_y(self, value: Coeff) -> SparsePoly:
         """Substitute an exact rational value for y, keeping T symbolic."""
+        powers: dict[int, Coeff] = {0: 1}
         acc: dict = {}
         for m, c in self.terms.items():
-            nc = acc.get(m.char, 0) + c * (Fraction(value) ** m.ypow if m.ypow else 1)
+            power = powers.get(m.ypow)
+            if power is None:
+                power = powers[m.ypow] = Fraction(value) ** m.ypow
+            nc = acc.get(m.char, 0) + c * power
             if nc:
                 acc[m.char] = nc
             else:

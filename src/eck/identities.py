@@ -33,23 +33,33 @@ over the common denominator, divide out each factor ``1 - T^w`` that
 divides, then ``1 + T^u`` from each factor ``1 - T^{2u}`` left), run per
 antipodal pair ``p_i``, ``p_{-i}`` on the factors along the pair's own
 T-curve (the multiples of ``t_i``) and once more on every factor to merge
-the pairs.  ``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is still an
-identity in the one-variable Laurent ring.  Each merge summand is a
-one-shot summand divided by factors ``1 - T^{2u}`` or ``1 + T^u``, whose
-Newton polytope it therefore lies in, so the one-shot box still holds every
-monomial.  Which step divides a factor can change, but the result ``P(y)``
-of the merge is unique.
+the pairs.  The packed keys are T-monomials alone; each one's y-polynomial
+``sum_k c_k y^k`` is the integer ``sum_k c_k 2^(B*k)``, with the slot width
+``B`` read off the numerators and the common denominator so that every
+y-coefficient of ``N`` and of ``N - P*D`` fits in a balanced slot.
+``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is still an identity in
+the one-variable Laurent ring, and a pass with result ``R`` gives
+``psi(N) = R psi(D)`` for the map ``psi: T^e y^k -> 2^(B*k) z^phi(e)``;
+the lowest key of ``psi(D)`` is ``+-1``, so the balanced digits of ``R``
+are the coefficients of ``P(y)`` and ``psi`` is injective on ``N - P*D``,
+hence ``N = P*D``.  Each merge summand is a one-shot summand divided by
+factors ``1 - T^{2u}`` or ``1 + T^u``, whose Newton polytope it therefore
+lies in, so the one-shot box still holds every monomial.  Which step
+divides a factor can change, but the result ``P(y)`` of the merge is
+unique.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     Character,
-    Coeff,
     Monomial,
     PackedBox,
     RatExpr,
@@ -331,6 +341,25 @@ def _without(factors: list[Character], den: Iterable[Character]) -> list[Charact
     return rest
 
 
+def _balanced_digits(r: int, width: int) -> dict[int, int]:
+    """The nonzero digits ``d_k`` of ``r = sum_k d_k 2^(width*k)`` with
+    ``-2^(width-1) <= d_k < 2^(width-1)``, by ascending ``k``.
+
+    >>> _balanced_digits(3 - (2 << 8), 8)
+    {0: 3, 1: -2}
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits: dict[int, int] = {}
+    k = 0
+    while r:
+        d = ((r + half) & mask) - half
+        if d:
+            digits[k] = d
+        r = (r - d) >> width
+        k += 1
+    return digits
+
+
 def integrate_projective(cls: LocalClass) -> SparsePoly:
     """Sum the localized values over all fixed points of P^{n-1}.
 
@@ -338,14 +367,18 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     the result is the chi_y polynomial of the space.
 
     The sum runs in one variable through the packed ring of
-    :class:`~eck.algebra.PackedBox`, sized from the data.  Let ``L`` be the
-    common denominator (each weight at its largest multiplicity over the
-    points), ``D = prod_{w in L} (1 - T^w)`` and
+    :class:`~eck.algebra.PackedBox` on T alone, sized from the data, with y
+    kept in the coefficient.  Let ``L`` be the common denominator (each
+    weight at its largest multiplicity over the points),
+    ``D = prod_{w in L} (1 - T^w)`` and
     ``N = sum_i num_i * prod_{w in L - den_i} (1 - T^w)``, so the sum is
     ``N / D``.  A per-coordinate box holding 0 and every monomial of ``D``
     and of each summand of ``N`` is read off the weights and numerators
-    (:func:`~eck.algebra.weight_box`) without expanding anything, and
-    ``ystride`` exceeds every y-power.
+    (:func:`~eck.algebra.weight_box`) without expanding anything.  Each
+    T-monomial's y-polynomial ``sum_k c_k y^k`` is one integer
+    ``sum_k c_k 2^(B*k)`` (Kronecker substitution for y): with ``M`` the sum
+    of ``|c|`` over every numerator (cleared of denominators) and ``|L|``
+    factors, the slot width is ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
 
     One cancel step does the work: it lifts packed numerators to their
     common denominator by shift-and-subtract, adds them, and divides out,
@@ -359,7 +392,8 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     two points are added); then the reduced pairs and any single point
     (``p_0`` for odd n, or a pair with one zero value) go through it
     together.  :class:`ResidualTDependence` is raised unless that leaves no
-    factor and only ``s^0``.
+    factor and only the key 0, whose balanced base-``2^B`` digits are the
+    coefficients of ``P(y)``.
 
     A pair tries only the factors along its own T-curve, the multiples of
     ``t_i`` (``p_i`` and ``p_{-i}`` are joined by the curve of weight
@@ -373,15 +407,22 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     ``N / D = P(y)``, each quotient of the last step is ``P`` times the
     factors still to come.  A pair's factor it refuses waits for the last
     step.  The check is exactly as strong as summing over the full torus.
+    Let ``psi`` map ``T^e y^k`` to ``2^(B*k) z^phi(e)``.
     ``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is an identity in
-    the one-variable Laurent ring, and if it passes with result ``P(y)``,
-    then ``phi(N) = P * phi(D)``, so ``phi(N - P*D) = 0``; ``N - P*D``
-    lives in the box, where ``phi`` is injective, hence ``N = P*D``.  Each
-    merge summand is the one-shot summand of its points divided by factors
-    ``1 - T^{2u}`` or ``1 + T^u``, and ``Newt(A) = Newt(B) + [0, v]``
-    contains ``Newt(B)`` for ``A = B (1 +- T^v)``, so the one-shot box
-    still holds every monomial.  Which step divides a factor can change,
-    but the result ``P(y)`` of the merge is unique.
+    ``Z[z^+-1]``, and a pass with result ``R`` gives ``psi(N) = R psi(D)``.
+    The lowest key of ``psi(D)`` has coefficient ``+-1``; ``phi`` is
+    injective on the box, so the lowest key of ``psi(N)`` carries one
+    T-monomial of ``N``, whose y-coefficients are at most
+    ``M 2^|L| < 2^(B-1)``.  Hence the balanced digits of ``R`` are the
+    coefficients of ``P``, with ``|p_k| <= M 2^|L|``, and every
+    y-coefficient of ``N - P*D`` is below ``M 2^|L| + M 4^|L| < 2^(B-1)``.
+    ``psi`` is injective on such polynomials with T-support in the box, and
+    ``psi(N - P*D) = 0``, hence ``N = P*D``.  Each merge summand is the
+    one-shot summand of its points divided by factors ``1 - T^{2u}`` or
+    ``1 + T^u``, and ``Newt(A) = Newt(B) + [0, v]`` contains ``Newt(B)``
+    for ``A = B (1 +- T^v)``, so the one-shot box still holds every
+    monomial.  Which step divides a factor can change, but the result
+    ``P(y)`` of the merge is unique.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -405,15 +446,26 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         for k, column in enumerate(zip(*chars)):
             lo[k] = min(lo[k], min(column) + rlo[k])
             hi[k] = max(hi[k], max(column) + rhi[k])
-    ystride = 1 + max((m.ypow for v in values for m in v.num.terms), default=0)
-    box = PackedBox(lo, hi, ystride)
+    box = PackedBox(lo, hi, 1)
     key = box.key
-    top = key(tuple(hi)) + ystride - 1
+    top = key(tuple(hi))
     packed = {e: key(e) for chars in distinct for e in chars}
+    step = cache(lambda w: key(w.coeffs))
+    scale = lcm(*(c.denominator for v in values for c in v.num.terms.values()))
+    mass = int(scale * sum(abs(c) for v in values for c in v.num.terms.values()))
+    width = (mass * (2 ** len(factors) + 4 ** len(factors))).bit_length() + 1
+
+    def pack(v: RatExpr) -> dict[int, int]:
+        """The numerator of ``v`` times ``scale``, y-powers in ``width``-bit slots."""
+        part: dict[int, int] = {}
+        for m, c in v.num.terms.items():
+            k = packed[m.char.coeffs]
+            part[k] = part.get(k, 0) + (int(c * scale) << width * m.ypow)
+        return part
 
     def cancel(
-        parts: list[tuple[dict[int, Coeff], Sequence[Character]]], axis: int | None = None
-    ) -> tuple[dict[int, Coeff], list[Character]]:
+        parts: list[tuple[dict[int, int], Sequence[Character]]], axis: int | None = None
+    ) -> tuple[dict[int, int], list[Character]]:
         """Sum the packed numerators ``parts`` (each over its denominator)
         over their common denominator and divide out each tried factor
         ``1 - T^w`` that divides, then ``1 + T^u`` from each tried factor
@@ -424,14 +476,14 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
             return axis is None or not any(c for k, c in enumerate(w.coeffs) if k != axis)
 
         common = _union(den for _, den in parts)
-        total: dict[int, Coeff] = {}
+        total: dict[int, int] = {}
         for part, den in parts:
             for w in _without(common, den):
-                part = _times_binomial(part, key(w.coeffs), -1)
+                part = _times_binomial(part, step(w), -1)
             _add_into(total, part)
         left: list[Character] = []
         for w in common:
-            quotient = _over_one_minus(total, key(w.coeffs), top) if tried(w) and w not in left else None
+            quotient = _over_one_minus(total, step(w), top) if tried(w) and w not in left else None
             if quotient is None:
                 left.append(w)
             else:
@@ -439,14 +491,14 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         for j, w in enumerate(left):
             if tried(w) and not any(c % 2 for c in w.coeffs):
                 u = Character(tuple(c // 2 for c in w.coeffs))
-                quotient = _over_one_plus(total, key(u.coeffs), top)
+                quotient = _over_one_plus(total, step(u), top)
                 if quotient is not None:
                     total, left[j] = quotient, u
         return total, left
 
     reduced = []
     for axis, group in groups:
-        parts = [({packed[m.char.coeffs] + m.ypow: c for m, c in v.num.terms.items()}, v.den) for v in group]
+        parts = [(pack(v), v.den) for v in group]
         reduced.append(cancel(parts, axis) if len(parts) == 2 else parts[0])
     total, left = cancel(reduced)
     if left:
@@ -454,15 +506,16 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
             f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
             f"the factor (1 - {SparsePoly.monomial(left[0])}) of the common denominator did not cancel"
         )
-    leftover = [(k, c) for k, c in sorted(total.items()) if not 0 <= k < ystride]
+    leftover = min((k for k in total if k), default=0)
     if leftover:
-        k, c = leftover[0]
-        m = box.monomial(k)
+        ypow, c = next(iter(_balanced_digits(total[leftover], width).items()))
         raise ResidualTDependence(
             f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
-            f"leftover term {SparsePoly.monomial(m.char, m.ypow, c)}"
+            f"leftover term {SparsePoly.monomial(box.monomial(leftover).char, ypow, Fraction(c, scale))}"
         )
-    return SparsePoly.from_terms(arity, [(Monomial(Character.zero(arity), k), c) for k, c in total.items()])
+    zero = Character.zero(arity)
+    digits = _balanced_digits(total.get(0, 0), width)
+    return SparsePoly.from_terms(arity, [(Monomial(zero, k), Fraction(c, scale)) for k, c in digits.items()])
 
 
 def chi_y(kind: str, n: int) -> SparsePoly:

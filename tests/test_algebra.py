@@ -599,6 +599,17 @@ def test_witness_reports_the_first_separating_point():
     assert a.witness(b, seed=7) == f"differs at T=({tvals[0]}), y={yval}: {mine} != {theirs}"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_polys), st.fractions(-3, 3, max_denominator=4))
+def test_subs_y_substitutes_term_by_term(p, value):
+    """``subs_y`` computes each power of the value once; the result is the
+    sum of ``c * value^k`` over the terms, collected by character."""
+    want: dict = {}
+    for m, c in p.terms.items():
+        want[m.char] = want.get(m.char, 0) + c * value**m.ypow
+    assert p.subs_y(value) == SparsePoly.from_terms(p.arity, [(Monomial(ch, 0), c) for ch, c in want.items()])
+
+
 @st.composite
 def _map_case(draw):
     """Two polynomials over a lattice of rank 1..3 and images of its basis in

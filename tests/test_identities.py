@@ -2,6 +2,7 @@
 polynomials, with frozen small-case values."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from bench_loader import load_bench
@@ -268,11 +269,29 @@ def test_pair_step_tries_only_the_pair_curve(monkeypatch):
         assert refused <= most, (kind, n, counts)
 
 
+def test_lift_keeps_y_in_the_coefficient(monkeypatch):
+    """A work-count guard: the packed ring keys T alone and carries each
+    T-monomial's y-polynomial in one integer, so the largest lifted summand
+    of a Qc_9 integration stays small; keying y as well gives 10,148 keys."""
+    largest = [0]
+    lift = identities._times_binomial
+
+    def counted(f, step, sign):
+        out = lift(f, step, sign)
+        largest[0] = max(largest[0], len(out))
+        return out
+
+    monkeypatch.setattr(identities, "_times_binomial", counted)
+    assert chi_y("Qc", 9).y_coefficients() == genus_closed_form("Qc", 9)
+    assert 0 < largest[0] <= 3000, largest[0]
+
+
 def test_integration_names_what_kept_t_dependence():
     """The two messages of the merge.  A sum of ``1 / (1 - T1)`` alone has the
     numerator 1, pure in y, so only the factor left over shows the
     T-dependence; the perturbed P_5 sum divides out every factor and keeps a
-    term."""
+    term, named with the coefficient of its lowest y-power when it carries
+    y."""
     geo = GeometryConfig(2)
     one_pole = RatExpr(SparsePoly.one(geo.arity), (Character.basis(geo.arity, 1),))
     values = {i: one_pole if i == 1 else RatExpr.zero(geo.arity) for i in geo.indices}
@@ -281,6 +300,22 @@ def test_integration_names_what_kept_t_dependence():
         integrate_projective(broken)
     with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_5 kept T-dependence: leftover term T1\^2$"):
         integrate_projective(_p5_with({1: _EXTRA}))
+    y = SparsePoly.y_power(3)
+    carrying_y = y * _EXTRA - SparsePoly.monomial(Character((0, 1, 0)), 3, 2)  # y*T1^2 - y*T2 - 2*y^3*T1
+    for point in (1, 0, -2):
+        with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_5 kept T-dependence: leftover term -2\*y\^3\*T1$"):
+            integrate_projective(_p5_with({point: carrying_y}))
+
+
+@pytest.mark.parametrize("scale", [10**40, -(10**40), Fraction(1, 3)])
+def test_integration_is_exact_past_any_fixed_slot(scale):
+    """Every numerator of the P_5 class times ``scale`` integrates to exactly
+    ``scale`` times the genus of P^4: the y-slot width grows with the
+    coefficients, and denominators are cleared first."""
+    base = projective_class("P", 5)
+    values = {i: RatExpr(v.num * scale, v.den) for i, v in base.values.items()}
+    scaled = LocalClass(geometry=base.geometry, space="scaled", n=5, values=values, recipes=base.recipes)
+    assert integrate_projective(scaled).y_coefficients() == {p: (-1) ** p * scale for p in range(5)}
 
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
