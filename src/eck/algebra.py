@@ -10,10 +10,10 @@ nonzero characters, each meaning a factor ``(1 - T^w)``.  Denominators are
 never expanded unless an operation requires it (equality by
 cross-multiplication, exact reduction).  Since every denominator is a
 product of such factors, the only division is exact division by one
-``1 - T^w``: :meth:`SparsePoly.div_by_one_minus` on monomials and
-:func:`_over_one_minus` on :class:`PackedBox` keys (``1 - z^a``, either sign);
-the packed ring also divides by ``1 + z^a`` (:func:`_over_one_plus`), one
-half of ``1 - z^{2a}``.
+``1 - T^w``: :func:`_flat_over_one_minus` on flat exponent keys (the core
+of :meth:`SparsePoly.div_by_one_minus`) and :func:`_over_one_minus` on
+:class:`PackedBox` keys (``1 - z^a``, either sign); the packed ring also
+divides by ``1 + z^a`` (:func:`_over_one_plus`), one half of ``1 - z^{2a}``.
 
 Character entries are ordered ``(t, t_1, ..., t_m)``; the rendered variable
 for ``t`` is ``T`` and for ``t_i`` is ``Ti``.
@@ -53,7 +53,7 @@ class IllFormedMap(ValueError):
 
 def _norm(c: Coeff) -> Coeff:
     """Prefer ints over integral Fractions so reprs stay tidy."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -345,13 +345,8 @@ class SparsePoly:
     # -- exact division -------------------------------------------------
 
     def div_by_one_minus(self, w: Character) -> SparsePoly:
-        """Exact division by ``(1 - T^w)`` (w nonzero), via cosets of Z*w.
-
-        Restricting the polynomial to each line ``rep + Z*w`` gives a
-        univariate Laurent polynomial in ``s = T^w``; dividing by ``(1 - s)``
-        is a prefix-sum whose total must vanish.  Lines are grouped on plain
-        exponent tuples, and monomials are built only for the quotient of a
-        division that succeeds.
+        """Exact division by ``(1 - T^w)`` (w nonzero): :func:`_flat_over_one_minus`
+        on the flat exponent keys of the terms.
 
         >>> T = SparsePoly.monomial(Character((1,)))
         >>> (1 - T**3).div_by_one_minus(Character((1,)))
@@ -361,25 +356,7 @@ class SparsePoly:
             raise DivisionByZero("division by 1 - T^0 = 0")
         if self.is_zero:
             return self
-        wc = w.coeffs
-        j = next(i for i, a in enumerate(wc) if a)
-        wj = wc[j]
-        lines: dict[tuple, dict[int, Coeff]] = {}
-        for (char, ypow), c in self.terms.items():
-            e = char.coeffs
-            k = e[j] // wj
-            lines.setdefault((ypow, tuple(a - k * b for a, b in zip(e, wc))), {})[k] = c
-        for (ypow, rep), coeffs in lines.items():
-            if sum(coeffs.values()) != 0:
-                raise NotDivisible(f"remainder on line {rep} (y^{ypow})")
-        out: dict = {}
-        for (ypow, rep), coeffs in lines.items():
-            running: Coeff = 0
-            for k in range(min(coeffs), max(coeffs)):
-                running += coeffs.get(k, 0)
-                if running:
-                    out[Monomial(Character(tuple(a + k * b for a, b in zip(rep, wc))), ypow)] = _norm(running)
-        return SparsePoly(self.arity, out)
+        return _from_flat(self.arity, _flat_over_one_minus(_flat(self), w.coeffs))
 
     def __str__(self) -> str:
         from .render import poly_text
@@ -387,6 +364,53 @@ class SparsePoly:
         return poly_text(self)
 
     __repr__ = __str__
+
+
+# -- flat exponent keys ---------------------------------------------------------
+
+
+def _flat(p: SparsePoly) -> dict[tuple[int, ...], Coeff]:
+    """The terms of ``p`` keyed by flat ``(ypow, e_0, ..., e_m)`` tuples."""
+    return {(ypow,) + char.coeffs: c for (char, ypow), c in p.terms.items()}
+
+
+def _from_flat(arity: int, f: Mapping[tuple[int, ...], Coeff], scale: Coeff = 1) -> SparsePoly:
+    """The polynomial ``scale * f`` from flat ``(ypow, e_0, ..., e_m)`` keys;
+    zero coefficients are dropped."""
+    return SparsePoly(arity, {Monomial(Character(key[1:]), key[0]): _norm(scale * c) for key, c in f.items() if c})
+
+
+def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> dict[tuple[int, ...], Coeff]:
+    """Exact quotient of ``f`` (flat ``(ypow, e_0, ..., e_m)`` keys) by
+    ``1 - T^w`` (``w`` the nonzero T-entries), via cosets of Z*w.
+
+    Restricting ``f`` to each line ``rep + Z*w`` gives a univariate Laurent
+    polynomial in ``s = T^w``; dividing by ``(1 - s)`` is a prefix sum whose
+    total must vanish, else :class:`NotDivisible` names the first line, in
+    order of first appearance, that leaves a remainder.  The quotient lists
+    the lines in that order and each line by rising power of ``s``.
+
+    >>> _flat_over_one_minus({(0, 0): 1, (0, 2): -1}, (1,))
+    {(0, 0): 1, (0, 1): 1}
+    """
+    step = (0,) + tuple(w)
+    j = next(i for i, a in enumerate(step) if a)
+    wj = step[j]
+    lines: dict[tuple[int, ...], dict[int, Coeff]] = {}
+    for key, c in f.items():
+        k = key[j] // wj
+        lines.setdefault(tuple([a - k * b for a, b in zip(key, step)]), {})[k] = c
+    for rep, coeffs in lines.items():
+        if sum(coeffs.values()) != 0:
+            raise NotDivisible(f"remainder on line {rep[1:]} (y^{rep[0]})")
+    out: dict[tuple[int, ...], Coeff] = {}
+    for rep, coeffs in lines.items():
+        running: Coeff = 0
+        for k in range(min(coeffs), max(coeffs)):
+            running += coeffs.get(k, 0)
+            if running:
+                out[tuple([a + k * b for a, b in zip(rep, step)])] = running
+    return out
 
 
 # -- the packed one-variable ring ---------------------------------------------

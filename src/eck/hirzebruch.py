@@ -47,10 +47,15 @@ from .algebra import (
     Character,
     DivisionByZero,
     Monomial,
+    NotDivisible,
     RatExpr,
     SparsePoly,
-    hfactor_minus_one_expr,
+    _add_into,
+    _flat,
+    _flat_over_one_minus,
+    _from_flat,
 )
+from .render import weight_text
 from .torus import GeometryConfig
 
 PROJECTIVE_KINDS = ("P", "Q", "X", "Qc", "Xc")
@@ -60,6 +65,29 @@ AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
 #: one summand of a class: (integer coefficient, y-power, h-factors);
 #: each factor is (weight, minus_one?) meaning h(T^w) or h(T^w) - 1.
 ProductTerm = tuple[int, int, tuple[tuple[Character, bool], ...]]
+
+#: a polynomial on flat ``(ypow, e_0, ..., e_m)`` exponent keys
+Flat = dict[tuple[int, ...], int]
+
+
+def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, sign: int = 1) -> Flat:
+    """``acc * (T^first + sign * T^second)`` on flat exponent keys, a shift
+    of None being the unit monomial: two shifted copies added, the second
+    times ``sign``.  Coefficients that cancel stay in as zeros.
+
+    >>> _times_two_monomials({(0, 1): 1}, None, (1, 0))
+    {(0, 1): 1, (1, 1): 1}
+    """
+    out: Flat = {}
+    for key, v in acc.items():
+        if first is not None:
+            key = tuple(map(add, key, first))
+        out[key] = out.get(key, 0) + v
+    for key, v in acc.items():
+        if second is not None:
+            key = tuple(map(add, key, second))
+        out[key] = out.get(key, 0) + sign * v
+    return out
 
 
 def _product(
@@ -102,15 +130,8 @@ def _product(
             scale = -scale
             shifts = (None, unit_y) if minus_one else (unit_y, (0,) + w.coeffs)
         den.append(w)
-        out: dict[tuple[int, ...], int] = {}
-        for shift in shifts:
-            for key, v in acc.items():
-                if shift is not None:
-                    key = tuple(map(add, key, shift))
-                out[key] = out.get(key, 0) + v
-        acc = out
-    num = {Monomial(Character(key[1:]), key[0]): scale * v for key, v in acc.items() if v}
-    return RatExpr(SparsePoly(arity, num), tuple(den))
+        acc = _times_two_monomials(acc, *shifts)
+    return RatExpr(_from_flat(arity, acc, scale), tuple(den))
 
 
 def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
@@ -397,6 +418,53 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 affine_class.cache_clear = _cache_clear(_build_affine)
 
 
+def _shifted(acc: Flat, shift: tuple, sign: int = 1) -> Flat:
+    """``sign * T^shift * acc`` on flat exponent keys, zeros dropped."""
+    return {tuple(map(add, key, shift)): sign * v for key, v in acc.items() if v}
+
+
+def _restriction(cls: LocalClass, i: int) -> Flat:
+    """``g_i = values[i] * prod_{j != i} (x_i - x_j)`` with ``x_j = T^{t_j}``,
+    on flat exponent keys: the class restricted to ``p_i`` (the value times
+    ``prod (1 - T^w)`` over the tangent weights ``w``) times ``x_i^{n-1}``.
+
+    With ``w = t_j - t_i``, ``x_i - x_j = x_i (1 - T^w) = -x_j (1 - T^{-w})``.
+    Each factor ``1 - T^v`` of the value's (sign-canonical) denominator is
+    taken by the one ``j`` with ``v = w``, which leaves the monomial ``x_i``,
+    or ``v = -w``, which leaves ``-x_j``; every other ``j`` multiplies by
+    ``x_i - x_j``.  Nothing is divided.  A denominator factor that no tangent
+    weight takes raises ValueError naming the point.
+    """
+    geo = cls.geometry
+    ti = geo.proj_weight(i)
+    value = cls.values[i]
+    den = Counter(value.den)
+    shift, sign, others = Character.zero(geo.arity), 1, []
+    for j in geo.indices:
+        if j == i:
+            continue
+        tj = geo.proj_weight(j)
+        w = tj - ti
+        if den[w]:
+            den[w] -= 1
+            shift = shift + ti
+        elif den[-w]:
+            den[-w] -= 1
+            shift, sign = shift + tj, -sign
+        else:
+            others.append(tj)
+    left = +den
+    if left:
+        raise ValueError(
+            f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(next(iter(left)))}) "
+            f"is not a tangent weight of P^{geo.n - 1} there"
+        )
+    acc = _flat(value.num)
+    for tj in others:
+        acc = _times_two_monomials(acc, (0,) + ti.coeffs, (0,) + tj.coeffs, -1)
+    return _shifted(acc, (0,) + shift.coeffs, sign)
+
+
 def cone_pushforward(cls: LocalClass) -> RatExpr:
     """Push the class of an open subvariety Y' of P^{n-1} down the blowup of
     the cone: the value at the cone point is
@@ -404,24 +472,71 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
 
     The factor comes from localizing ``td(O(-1)) - c_1(O(-1))`` on the
     exceptional divisor; the pushforward is linear and sends the zero class
-    to zero.
+    to zero.  Precondition: the values form a class on P^{n-1}, that is,
+    each value's denominator factors are tangent weights at its point and
+    the values restrict one equivariant K-theory class.  Input that is not
+    a class raises.
 
-    The sum is taken over antipodal pairs first, the Atiyah-Bott/GKM order:
-    the poles of ``p_i`` and ``p_{-i}`` along ``2 t_i`` and ``t_i +/- t_j``
-    cancel as soon as the two are added, so each pair is reduced on its own
-    and the pairs (after ``p_0`` for odd n) are merged one at a time with a
-    reduction after each merge.  Adding every point before reducing gives the
-    same rational function, but its common denominator and numerator grow
-    several times larger than the answer's.
+    The sum is taken through Newton divided differences at the nodes
+    ``x_j = T^{t_j}``, ``j`` in index order, with ``c = T^t``
+    (Anderson-Fulton; Knutson-Rosu):
+
+    * **Restriction.** ``1 - T^{t_j - t_i} = (x_i - x_j)/x_i``, so
+      ``values[i] = g_i / prod_{j != i} (x_i - x_j)`` for the Laurent
+      polynomial ``g_i`` of :func:`_restriction`, and ``sum_i values[i]``
+      is the top divided difference ``g[x_1..x_n]``.
+    * **Divided differences.** ``K_T(P^{n-1}) = R(T)[L] / prod_j (L - x_j)``
+      with ``L`` restricting to ``x_j`` at ``p_j``, so ``g_i = P(x_i)`` for
+      one ``P`` in ``R(T)[L]``.  Each divided difference of ``L^k`` is a
+      complete symmetric polynomial in its nodes, so every entry
+      ``g[x_a..x_b]`` is a Laurent polynomial.  The table is built in
+      place, nodes in index order:
+      ``g[x_a..x_b] = (g[x_{a+1}..x_b] - g[x_a..x_{b-1}]) / (x_b - x_a)``
+      with ``x_b - x_a = x_b (1 - T^{t_a - t_b})``, i.e. a shift by
+      ``-t_b`` and one exact division by ``1 - T^{t_a - t_b}``.  For
+      values that are not a class a step leaves a remainder, and
+      NotDivisible names the space and the step's end nodes.
+    * **Leibniz.** ``h(T^{t + t_i}) - 1 = (1 + y)(psi(x_i) - 1)`` with
+      ``psi(L) = 1/(1 - cL)``, whose divided differences are
+      ``psi[x_k..x_n] = c^{n-k} / prod_{j>=k} (1 - c x_j)``.  By Leibniz'
+      rule ``(g psi)[x_1..x_n] = sum_k G_k psi[x_k..x_n]`` with the Newton
+      coefficients ``G_k = g[x_1..x_k]``, so the pushforward is
+      ``(1 + y)(sum_k G_k psi[x_k..x_n] - G_n)``.
+    * **Horner.** Over ``prod_j (1 - c x_j) = prod_j (1 - T^{t + t_j})``
+      its numerator is ``(1 + y) [sum_{k<n} G_k c^{n-k} prod_{j<k}
+      (1 - c x_j) + G_n c x_n prod_{j<n} (1 - c x_j)]`` (the ``k = n`` term
+      less ``G_n`` times the denominator).  From ``G_n c x_n``, each step
+      multiplies by ``1 - c x_k`` and adds ``G_k c^{n-k}``, for
+      ``k = n-1, ..., 1``; then the sum is multiplied by ``1 + y``.  Only
+      two-monomial products occur.
+
+    So the restriction and Horner's rule divide nothing, every division of
+    the table is exact or raises, and the final ``reduced()`` only cancels
+    factors that divide the numerator exactly.
     """
     if not cls.is_projective:
         raise ValueError("cone_pushforward applies to projective classes")
     geo = cls.geometry
-
-    def term(i: int) -> RatExpr:
-        return hfactor_minus_one_expr(geo.affine_weight(i)) * cls.values[i]
-
-    out = term(0).reduced() if geo.odd else RatExpr.zero(geo.arity)
-    for i in range(1, geo.m + 1):
-        out = (out + (term(-i) + term(i)).reduced()).reduced()
-    return out
+    nodes = geo.indices
+    n = len(nodes)
+    table = [_restriction(cls, i) for i in nodes]
+    for level in range(1, n):
+        for b in range(n - 1, level - 1, -1):
+            a = b - level
+            back = (0,) + (-geo.proj_weight(nodes[b])).coeffs
+            step = _shifted(table[b], back)
+            _add_into(step, _shifted(table[b - 1], back, -1))
+            try:
+                table[b] = _flat_over_one_minus(step, (geo.proj_weight(nodes[a]) - geo.proj_weight(nodes[b])).coeffs)
+            except NotDivisible:
+                raise NotDivisible(
+                    f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
+                    "leaves a remainder; the values are not a class"
+                ) from None
+    cx = [(0,) + geo.affine_weight(j).coeffs for j in nodes]
+    acc = _shifted(table[-1], cx[-1])
+    for k in range(n - 2, -1, -1):
+        acc = _times_two_monomials(acc, None, cx[k], -1)
+        _add_into(acc, _shifted(table[k], (0,) + geo.t.scaled(n - 1 - k).coeffs))
+    acc = _times_two_monomials(acc, None, (1,) + (0,) * geo.arity)
+    return RatExpr(_from_flat(geo.arity, acc), tuple(geo.affine_weight(j) for j in nodes)).reduced()

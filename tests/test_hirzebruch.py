@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eck.algebra import Character, DivisionByZero, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
+from eck.algebra import Character, DivisionByZero, NotDivisible, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
 from eck.hirzebruch import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
@@ -324,18 +324,57 @@ def test_paired_pushforward_equals_the_point_by_point_fold(kind, n):
     assert paired.equivalent(folded)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_paired_pushforward_with_one_end_of_a_pair_zero(n):
+@pytest.mark.parametrize(("n", "ends"), [(4, "p_-1..p_1"), (5, "p_-1..p_0")])
+def test_paired_pushforward_with_one_end_of_a_pair_zero(n, ends):
+    """Xc with the value at p_-1 zeroed is not a class, so a divided
+    difference leaves a remainder: one line names the space and the two end
+    nodes of the step (the first step, in index order, that p_-1 enters)."""
     from eck.hirzebruch import LocalClass
 
     geo = GeometryConfig(n)
     values = dict(projective_class("Xc", n).values)
     values[-1] = RatExpr.zero(geo.arity)
     cls = LocalClass(geometry=geo, space="Xc off p_-1", n=n, values=values, recipes={i: () for i in geo.indices})
-    paired, folded = cone_pushforward(cls), _pushforward_point_by_point(cls)
-    assert not paired.is_zero
-    assert str(paired) == str(folded)
-    assert paired.equivalent(folded)
+    with pytest.raises(NotDivisible) as err:
+        cone_pushforward(cls)
+    assert str(err.value) == (
+        f"Xc off p_-1 (n={n}): the divided difference over {ends} leaves a remainder; the values are not a class"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pushforward_is_the_direct_cone_complement_class(n):
+    for open_kind, cone_kind in (("Qc", "CCQ"), ("Xc", "CCX")):
+        got = cone_pushforward(projective_class(open_kind, n))
+        assert got.equivalent(affine_class(cone_kind, n).at_origin), (open_kind, n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
+def test_restriction_over_the_tangent_weights_is_the_value(kind, n):
+    """``g_i / x_i^{n-1}`` over ``prod (1 - T^w)`` (tangent weights w at p_i)
+    gives back the value at p_i."""
+    from eck.algebra import _from_flat
+    from eck.hirzebruch import _restriction
+
+    cls = projective_class(kind, n)
+    geo = cls.geometry
+    for i in geo.indices:
+        lowered = _from_flat(geo.arity, _restriction(cls, i)).shifted(geo.proj_weight(i).scaled(1 - n))
+        assert RatExpr(lowered, geo.tangent_weights(i)).equivalent(cls.values[i]), (kind, n, i)
+
+
+def test_restriction_names_a_point_whose_denominator_is_not_tangent():
+    from eck.hirzebruch import LocalClass
+
+    n = 4
+    geo = GeometryConfig(n)
+    values = dict(projective_class("P", n).values)
+    values[2] = values[2] * hfactor_expr(geo.t)
+    cls = LocalClass(geometry=geo, space="P times h(T)", n=n, values=values, recipes={i: () for i in geo.indices})
+    with pytest.raises(ValueError) as err:
+        cone_pushforward(cls)
+    assert str(err.value) == "P times h(T) (n=4) at p_2: denominator factor 1 - T^(t) is not a tangent weight of P^3 there"
 
 
 # -- shift-and-add products against RatExpr multiplication ---------------------

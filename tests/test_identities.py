@@ -81,6 +81,10 @@ def test_all_formulas_n4():
         assert r.timing_ms >= 0
 
 
+def test_blowup_consistency_past_the_table_range():
+    assert verify("blowup_consistency", 9).verified
+
+
 def test_argument_guards():
     with pytest.raises(ValueError):
         verify("banana", 4)
