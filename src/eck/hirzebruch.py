@@ -519,15 +519,16 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     geo = cls.geometry
     nodes = geo.indices
     n = len(nodes)
+    weights = [geo.proj_weight(j) for j in nodes]
     table = [_restriction(cls, i) for i in nodes]
     for level in range(1, n):
         for b in range(n - 1, level - 1, -1):
             a = b - level
-            back = (0,) + (-geo.proj_weight(nodes[b])).coeffs
+            back = (0,) + (-weights[b]).coeffs
             step = _shifted(table[b], back)
             _add_into(step, _shifted(table[b - 1], back, -1))
             try:
-                table[b] = _flat_over_one_minus(step, (geo.proj_weight(nodes[a]) - geo.proj_weight(nodes[b])).coeffs)
+                table[b] = _flat_over_one_minus(step, (weights[a] - weights[b]).coeffs)
             except NotDivisible:
                 raise NotDivisible(
                     f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
