@@ -12,8 +12,7 @@ cross-multiplication, exact reduction).  Since every denominator is a
 product of such factors, the only division is exact division by one
 ``1 - T^w``: :func:`_flat_over_one_minus` on flat exponent keys (the core
 of :meth:`SparsePoly.div_by_one_minus`) and :func:`_over_one_minus` on
-:class:`PackedBox` keys (``1 - z^a``, either sign); the packed ring also
-divides by ``1 + z^a`` (:func:`_over_one_plus`), one half of ``1 - z^{2a}``.
+:class:`PackedBox` keys (``1 - z^a``, either sign).
 
 Character entries are ordered ``(t, t_1, ..., t_m)``; the rendered variable
 for ``t`` is ``T`` and for ``t_i`` is ``Ti``.
@@ -25,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
@@ -455,7 +455,7 @@ class PackedBox:
 
     def key(self, e: Sequence[int]) -> int:
         """The key of ``T^e`` (add ``k`` for ``T^e y^k``)."""
-        return self.ystride * sum(c * x for c, x in zip(self.radix, e))
+        return self.ystride * sum(map(mul, self.radix, e))
 
     def monomial(self, key: int) -> Monomial:
         """The monomial of the box that packs to ``key``."""
@@ -530,43 +530,6 @@ def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff
             c = -running if shift else running
             for k in range(key + shift, keys[j + 1] + shift, size):
                 out[k] = c
-    return out
-
-
-def _over_one_plus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
-    """Exact quotient of a packed polynomial by ``1 + z^a`` (``a = step``,
-    either sign), or None when a remainder is left or a quotient key would
-    pass ``top``.  ``z -> zeta z`` with ``zeta^|a| = -1`` turns ``1 + z^|a|``
-    into ``1 - z^|a|`` and multiplies ``z^k`` by ``(-1)^(k // |a|)`` within
-    each residue class, so the quotient is an alternating prefix run per
-    class.  For ``a < 0``, ``1 + z^a = z^a (1 + z^-a)``: the runs are bounded
-    by ``top + a`` and shifted by ``-a``.
-
-    >>> _over_one_plus({0: 1, 2: -1}, 1, 1)
-    {0: 1, 1: -1}
-    >>> _over_one_plus({0: 1, 2: -1}, -1, 2)
-    {1: 1, 2: -1}
-    """
-    size = abs(step)
-    shift = 0 if step > 0 else size
-    last = top + size - shift
-    lines: dict[int, list[int]] = {}
-    for key in sorted(f):
-        lines.setdefault(key % size, []).append(key)
-    out: dict[int, Coeff] = {}
-    for keys in lines.values():
-        running: Coeff = 0
-        for j, key in enumerate(keys):
-            odd = key // size % 2
-            running += -f[key] if odd else f[key]
-            if not running:
-                continue
-            if j + 1 == len(keys) or keys[j + 1] > last:
-                return None
-            c = -running if odd else running
-            for k in range(key + shift, keys[j + 1] + shift, size):
-                out[k] = c
-                c = -c
     return out
 
 

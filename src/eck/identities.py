@@ -28,35 +28,20 @@ Formulas:
              direct CCQ_n / CCX_n classes.
 
 :func:`integrate_projective` sums the localized values over the fixed points
-to the chi_y polynomial in one packed variable with one cancel step (add
-over the common denominator, divide out each factor ``1 - T^w`` that
-divides, then ``1 + T^u`` from each factor ``1 - T^{2u}`` left), run per
-antipodal pair ``p_i``, ``p_{-i}`` on the factors along the pair's own
-T-curve (the multiples of ``t_i``) and once more on every factor to merge
-the pairs.  The packed keys are T-monomials alone; each one's y-polynomial
-``sum_k c_k y^k`` is the integer ``sum_k c_k 2^(B*k)``, with the slot width
-``B`` read off the numerators and the common denominator so that every
-y-coefficient of ``N`` and of ``N - P*D`` fits in a balanced slot.
-``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is still an identity in
-the one-variable Laurent ring, and a pass with result ``R`` gives
-``psi(N) = R psi(D)`` for the map ``psi: T^e y^k -> 2^(B*k) z^phi(e)``;
-the lowest key of ``psi(D)`` is ``+-1``, so the balanced digits of ``R``
-are the coefficients of ``P(y)`` and ``psi`` is injective on ``N - P*D``,
-hence ``N = P*D``.  Each merge summand is a one-shot summand divided by
-factors ``1 - T^{2u}`` or ``1 + T^u``, whose Newton polytope it therefore
-lies in, so the one-shot box still holds every monomial.  Which step
-divides a factor can change, but the result ``P(y)`` of the merge is
-unique.
+to the chi_y polynomial in one packed variable; its docstring gives the
+steps and why the result is exactly the full-torus sum.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from operator import or_
+from typing import Callable, Sequence
 
 from .algebra import (
     Character,
@@ -66,7 +51,6 @@ from .algebra import (
     SparsePoly,
     _add_into,
     _over_one_minus,
-    _over_one_plus,
     _times_binomial,
     weight_box,
 )
@@ -323,24 +307,6 @@ def verify(formula: str, n: int, k: int | None = None, seed: int = 0) -> Verific
     )
 
 
-def _union(dens: Iterable[Sequence[Character]]) -> list[Character]:
-    """The common denominator of ``dens``: each weight at its largest
-    multiplicity, in character order."""
-    common: dict[Character, int] = {}
-    for den in dens:
-        for w in set(den):
-            common[w] = max(common.get(w, 0), den.count(w))
-    return sorted((w for w, k in common.items() for _ in range(k)), key=lambda w: w.coeffs)
-
-
-def _without(factors: list[Character], den: Iterable[Character]) -> list[Character]:
-    """``factors`` less one copy of each weight of ``den``."""
-    rest = list(factors)
-    for w in den:
-        rest.remove(w)
-    return rest
-
-
 def _balanced_digits(r: int, width: int) -> dict[int, int]:
     """The nonzero digits ``d_k`` of ``r = sum_k d_k 2^(width*k)`` with
     ``-2^(width-1) <= d_k < 2^(width-1)``, by ascending ``k``.
@@ -372,28 +338,30 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     weight at its largest multiplicity over the points),
     ``D = prod_{w in L} (1 - T^w)`` and
     ``N = sum_i num_i * prod_{w in L - den_i} (1 - T^w)``, so the sum is
-    ``N / D``.  A per-coordinate box holding 0 and every monomial of ``D``
-    and of each summand of ``N`` is read off the weights and numerators
-    (:func:`~eck.algebra.weight_box`) without expanding anything.  Each
-    T-monomial's y-polynomial ``sum_k c_k y^k`` is one integer
-    ``sum_k c_k 2^(B*k)`` (Kronecker substitution for y): with ``M`` the sum
-    of ``|c|`` over every numerator (cleared of denominators) and ``|L|``
-    factors, the slot width is ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
+    ``N / D``.  The box is the Newton box of ``D``
+    (:func:`~eck.algebra.weight_box`) widened in each coordinate by the
+    extent of 0 and of every numerator character, so it holds 0 and every
+    monomial of ``D`` and of each summand of ``N`` without expanding
+    anything.  Each T-monomial's y-polynomial ``sum_k c_k y^k`` is one
+    integer ``sum_k c_k 2^(B*k)`` (Kronecker substitution for y): with ``M``
+    the sum of ``|c|`` over every numerator (cleared of denominators) and
+    ``|L|`` factors, the slot width is ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
 
     One cancel step does the work: it lifts packed numerators to their
     common denominator by shift-and-subtract, adds them, and divides out,
     in character order, each factor ``1 - T^w`` of that denominator that
     divides the sum with no quotient key past the packed top of the box (a
     factor that fails is not retried); then, from each factor left whose
-    weight is ``w = 2u``, it tries ``1 + T^u`` and keeps ``1 - T^u`` in
-    place of ``1 - T^w`` when that divides.  Each antipodal pair ``p_i``,
-    ``p_{-i}`` of two nonzero values goes through it first (the
-    Atiyah-Bott/GKM order: the poles a pair shares cancel as soon as its
-    two points are added); then the reduced pairs and any single point
-    (``p_0`` for odd n, or a pair with one zero value) go through it
-    together.  :class:`ResidualTDependence` is raised unless that leaves no
-    factor and only the key 0, whose balanced base-``2^B`` digits are the
-    coefficients of ``P(y)``.
+    weight is ``w = 2u``, it tries ``1 + T^u`` (times ``1 - T^u``, then
+    exactly over ``1 - T^w``: the same quotient, as ``Z[z^+-1]`` is a
+    domain) and keeps ``1 - T^u`` in place of ``1 - T^w`` when that
+    divides.  Each antipodal pair ``p_i``, ``p_{-i}`` of two nonzero values
+    goes through it first (the Atiyah-Bott/GKM order: the poles a pair
+    shares cancel as soon as its two points are added); then the reduced
+    pairs and any single point (``p_0`` for odd n, or a pair with one zero
+    value) go through it together.  :class:`ResidualTDependence` is raised
+    unless that leaves no factor and only the key 0, whose balanced
+    base-``2^B`` digits are the coefficients of ``P(y)``.
 
     A pair tries only the factors along its own T-curve, the multiples of
     ``t_i`` (``p_i`` and ``p_{-i}`` are joined by the curve of weight
@@ -438,18 +406,16 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     groups = [(pair[-1], [cls.values[i] for i in pair if not cls.values[i].is_zero]) for pair in pairs]
     groups = [(axis, group) for axis, group in groups if group]
     values = [v for _, group in groups for v in group]
-    factors = _union(v.den for v in values)
+    factors = list(reduce(or_, (Counter(v.den) for v in values), Counter()).elements())
+    chars = {m.char.coeffs for v in values for m in v.num.terms}
     lo, hi = weight_box(factors, arity)
-    distinct = [{m.char.coeffs for m in v.num.terms} for v in values]
-    for v, chars in zip(values, distinct):
-        rlo, rhi = weight_box(_without(factors, v.den), arity)
-        for k, column in enumerate(zip(*chars)):
-            lo[k] = min(lo[k], min(column) + rlo[k])
-            hi[k] = max(hi[k], max(column) + rhi[k])
+    for k, column in enumerate(zip(*chars)):
+        lo[k] += min(0, *column)
+        hi[k] += max(0, *column)
     box = PackedBox(lo, hi, 1)
     key = box.key
-    top = key(tuple(hi))
-    packed = {e: key(e) for chars in distinct for e in chars}
+    top = key(hi)
+    packed = {e: key(e) for e in chars}
     step = cache(lambda w: key(w.coeffs))
     scale = lcm(*(c.denominator for v in values for c in v.num.terms.values()))
     mass = int(scale * sum(abs(c) for v in values for c in v.num.terms.values()))
@@ -475,14 +441,15 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         def tried(w: Character) -> bool:
             return axis is None or not any(c for k, c in enumerate(w.coeffs) if k != axis)
 
-        common = _union(den for _, den in parts)
+        dens = [Counter(den) for _, den in parts]
+        common = reduce(or_, dens, Counter())
         total: dict[int, int] = {}
-        for part, den in parts:
-            for w in _without(common, den):
+        for (part, _), den in zip(parts, dens):
+            for w in (common - den).elements():
                 part = _times_binomial(part, step(w), -1)
             _add_into(total, part)
         left: list[Character] = []
-        for w in common:
+        for w in sorted(common.elements(), key=lambda w: w.coeffs):
             quotient = _over_one_minus(total, step(w), top) if tried(w) and w not in left else None
             if quotient is None:
                 left.append(w)
@@ -491,7 +458,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         for j, w in enumerate(left):
             if tried(w) and not any(c % 2 for c in w.coeffs):
                 u = Character(tuple(c // 2 for c in w.coeffs))
-                quotient = _over_one_plus(total, step(u), top)
+                quotient = _over_one_minus(_times_binomial(total, step(u), -1), step(w), top)
                 if quotient is not None:
                     total, left[j] = quotient, u
         return total, left

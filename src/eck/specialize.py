@@ -178,7 +178,8 @@ def csm(diag: RatExpr, n: int, order: int | None = None) -> tuple[Coeff, ...]:
     resulting polynomial in t.
 
     The default truncation order is ``n + 4``; orders below ``n + 2`` leave
-    no guard terms and are rejected.
+    no guard terms and are rejected.  An ``n`` below the class's own leaves
+    a term of negative degree and raises ``ValueError``.
     """
     if order is None:
         order = n + 4
@@ -196,12 +197,13 @@ def csm(diag: RatExpr, n: int, order: int | None = None) -> tuple[Coeff, ...]:
             raise NonvanishingNegativeUPart(f"u^{a} t^{b} survives with coefficient {c}")
     row = series.u_coefficients(0)
     for b, c in sorted(row.items()):
+        if b < -n:
+            raise ValueError(f"term t^{b + n} = {c} has negative degree after scaling by t^{n}")
         if b > 0:
             raise TruncationTooLow(f"guard coefficient t^{b} = {c} is nonzero after scaling by t^{n}")
     coeffs = [0] * (n + 1)
     for b, c in row.items():
-        if b <= 0:
-            coeffs[b + n] = c
+        coeffs[b + n] = c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

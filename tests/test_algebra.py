@@ -24,7 +24,6 @@ from eck.algebra import (
     SparsePoly,
     _norm,
     _over_one_minus,
-    _over_one_plus,
     _times_binomial,
     hfactor_expr,
     hfactor_minus_one_expr,
@@ -550,6 +549,12 @@ def test_packed_division_refuses_a_quotient_past_top(sign):
     assert _over_one_minus({0: 1, 2: -1}, sign, max(quotient) - 1) is None
 
 
+def _by_one_plus(f, step, top):
+    """Division by ``1 + z^a`` as ``integrate_projective`` takes it: times
+    ``1 - z^a``, then exactly over ``1 - z^{2a}``."""
+    return _over_one_minus(_times_binomial(f, step, -1), 2 * step, top)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool), max_size=8),
@@ -557,20 +562,20 @@ def test_packed_division_refuses_a_quotient_past_top(sign):
 )
 def test_packed_division_undoes_times_one_plus(f, step):
     """Either sign of step, with the top bound at the top key of ``f``."""
-    assert _over_one_plus(_times_binomial(f, step, 1), step, max(f, default=0)) == f
+    assert _by_one_plus(_times_binomial(f, step, 1), step, max(f, default=0)) == f
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_plus_division_refuses_a_remainder(sign):
-    assert _over_one_plus({0: 1, 1: -1}, sign, 10) is None  # 1 - z over 1 + z^{+-1}
+    assert _by_one_plus({0: 1, 1: -1}, sign, 10) is None  # 1 - z over 1 + z^{+-1}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_plus_division_refuses_a_quotient_past_top(sign):
     """``(1 - z^2) / (1 + z^{+-1})`` is ``1 - z`` or ``z - z^2``."""
-    quotient = _over_one_plus({0: 1, 2: -1}, sign, 3)
+    quotient = _by_one_plus({0: 1, 2: -1}, sign, 3)
     assert quotient == ({0: 1, 1: -1} if sign > 0 else {1: 1, 2: -1})
-    assert _over_one_plus({0: 1, 2: -1}, sign, max(quotient) - 1) is None
+    assert _by_one_plus({0: 1, 2: -1}, sign, max(quotient) - 1) is None
 
 
 def test_equivalent_does_not_depend_on_the_sample_points():

@@ -9,7 +9,7 @@ from bench_loader import load_bench
 
 from eck import identities
 
-from eck.algebra import Character, RatExpr, SparsePoly
+from eck.algebra import Character, PackedBox, RatExpr, SparsePoly
 from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, projective_class
 from eck.identities import (
     FORMULAS,
@@ -233,31 +233,40 @@ def test_integration_rejects_a_perturbation_at_any_point(point):
     assert not _full_torus_sum(broken).num.is_y_only()
 
 
-def _counting_divisions(monkeypatch) -> dict[tuple[str, bool], int]:
+def _counting_divisions(monkeypatch) -> dict[tuple[int, bool], int]:
     """Count the packed divisions ``integrate_projective`` makes, keyed by
-    ``(name, refused)``."""
-    counts: dict[tuple[str, bool], int] = {}
-    for name in ("_over_one_minus", "_over_one_plus"):
-        divide = getattr(identities, name)
+    ``(step, refused)``."""
+    counts: dict[tuple[int, bool], int] = {}
+    divide = identities._over_one_minus
 
-        def counted(f, step, top, divide=divide, name=name):
-            quotient = divide(f, step, top)
-            counts[name, quotient is None] = counts.get((name, quotient is None), 0) + 1
-            return quotient
+    def counted(f, step, top):
+        quotient = divide(f, step, top)
+        counts[step, quotient is None] = counts.get((step, quotient is None), 0) + 1
+        return quotient
 
-        monkeypatch.setattr(identities, name, counted)
+    monkeypatch.setattr(identities, "_over_one_minus", counted)
     return counts
 
 
 def test_integration_rejects_a_perturbation_the_pair_step_divides(monkeypatch):
     """``(1 + T1)(T1^2 - T2)`` added at ``p_1``: both pairs still divide by
-    their ``1 + T^{t_i}``, the perturbed pair ``p_1``, ``p_-1`` too, and the
-    merge still rejects the sum."""
+    their ``1 + T^{t_i}`` (the division by ``1 - T^{2 t_i}``, step
+    ``2 key(t_i)``, that follows the lift by ``1 - T^{t_i}``), the perturbed
+    pair ``p_1``, ``p_-1`` too, and the merge still rejects the sum."""
     counts = _counting_divisions(monkeypatch)
+    boxes = []
+
+    def recorded(*args):
+        boxes.append(PackedBox(*args))
+        return boxes[-1]
+
+    monkeypatch.setattr(identities, "PackedBox", recorded)
     broken = _p5_with({1: (SparsePoly.one(3) + SparsePoly.monomial(Character((0, 1, 0)))) * _EXTRA})
     with pytest.raises(ResidualTDependence, match="broken_5"):
         integrate_projective(broken)
-    assert counts[("_over_one_plus", False)] == 2 and ("_over_one_plus", True) not in counts
+    (box,) = boxes
+    for i in (1, 2):
+        assert counts[(2 * box.key(Character.basis(3, i).coeffs), False)] == 1, (i, counts)
     assert not _full_torus_sum(broken).num.is_y_only()
 
 

@@ -164,6 +164,13 @@ def test_order_guard():
     assert csm(diag, 4, order=6) == csm(diag, 4)
 
 
+def test_csm_rejects_an_n_below_the_class():
+    """CCQ_4 read with n = 2 has a term of degree -2 after scaling by t^2;
+    it is named, not written to a wrapped index."""
+    with pytest.raises(ValueError, match=r"^term t\^-2 = 1 has negative degree after scaling by t\^2$"):
+        csm(diagonalize(affine_class("CCQ", 4)), 2)
+
+
 def test_zero_class_handling():
     zero = diagonalize(affine_class("CCQ", 0))
     assert csm(zero, 0) == ()
