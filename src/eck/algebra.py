@@ -24,7 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
@@ -369,9 +369,38 @@ class SparsePoly:
 # -- flat exponent keys ---------------------------------------------------------
 
 
-def _flat(p: SparsePoly) -> dict[tuple[int, ...], Coeff]:
+#: a polynomial on flat exponent keys: ``(ypow, e_0, ..., e_m)``, or ``(delta, S_1, ...)``
+Flat = dict[tuple[int, ...], Coeff]
+
+
+def _flat(p: SparsePoly) -> Flat:
     """The terms of ``p`` keyed by flat ``(ypow, e_0, ..., e_m)`` tuples."""
     return {(ypow,) + char.coeffs: c for (char, ypow), c in p.terms.items()}
+
+
+def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, sign: int = 1) -> Flat:
+    """``acc * (T^first + sign * T^second)`` on flat exponent keys, a shift
+    of None being the unit monomial: two shifted copies added, the second
+    times ``sign``.  Coefficients that cancel stay in as zeros.
+
+    >>> _times_two_monomials({(0, 1): 1}, None, (1, 0))
+    {(0, 1): 1, (1, 1): 1}
+    """
+    out: Flat = {}
+    for key, v in acc.items():
+        if first is not None:
+            key = tuple(map(add, key, first))
+        out[key] = out.get(key, 0) + v
+    for key, v in acc.items():
+        if second is not None:
+            key = tuple(map(add, key, second))
+        out[key] = out.get(key, 0) + sign * v
+    return out
+
+
+def _shifted(acc: Flat, shift: tuple, sign: int = 1) -> Flat:
+    """``sign * T^shift * acc`` on flat exponent keys, zeros dropped."""
+    return {tuple(map(add, key, shift)): sign * v for key, v in acc.items() if v}
 
 
 def _from_flat(arity: int, f: Mapping[tuple[int, ...], Coeff], scale: Coeff = 1) -> SparsePoly:
@@ -380,7 +409,7 @@ def _from_flat(arity: int, f: Mapping[tuple[int, ...], Coeff], scale: Coeff = 1)
     return SparsePoly(arity, {Monomial(Character(key[1:]), key[0]): _norm(scale * c) for key, c in f.items() if c})
 
 
-def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> dict[tuple[int, ...], Coeff]:
+def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> Flat:
     """Exact quotient of ``f`` (flat ``(ypow, e_0, ..., e_m)`` keys) by
     ``1 - T^w`` (``w`` the nonzero T-entries), via cosets of Z*w.
 
@@ -403,7 +432,7 @@ def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -
     for rep, coeffs in lines.items():
         if sum(coeffs.values()) != 0:
             raise NotDivisible(f"remainder on line {rep[1:]} (y^{rep[0]})")
-    out: dict[tuple[int, ...], Coeff] = {}
+    out: Flat = {}
     for rep, coeffs in lines.items():
         running: Coeff = 0
         for k in range(min(coeffs), max(coeffs)):
@@ -795,7 +824,8 @@ class RatExpr:
 
 def hfactor_expr(w: Character) -> RatExpr:
     """The multiplicative factor ``(1 + y T^w) / (1 - T^w)`` of a tangent
-    weight ``w`` (must be nonzero)."""
+    weight ``w`` (must be nonzero).  No runtime code calls it: it is the
+    independent reference that the tests check class assembly against."""
     if w.is_zero():
         raise DivisionByZero("h-factor of the zero weight")
     num = SparsePoly.from_terms(w.arity, [(Monomial(w, 1), 1), (Monomial(Character.zero(w.arity), 0), 1)])
@@ -804,7 +834,7 @@ def hfactor_expr(w: Character) -> RatExpr:
 
 def hfactor_minus_one_expr(w: Character) -> RatExpr:
     """``h(T^w) - 1 = (1 + y) T^w / (1 - T^w)``, the factor of a punctured
-    line C*."""
+    line C*; like :func:`hfactor_expr`, a reference for the tests only."""
     if w.is_zero():
         raise DivisionByZero("h-factor of the zero weight")
     num = SparsePoly.from_terms(w.arity, [(Monomial(w, 1), 1), (Monomial(w, 0), 1)])

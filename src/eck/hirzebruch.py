@@ -39,13 +39,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .algebra import (
     Character,
     DivisionByZero,
+    Flat,
     Monomial,
     NotDivisible,
     RatExpr,
@@ -54,6 +54,8 @@ from .algebra import (
     _flat,
     _flat_over_one_minus,
     _from_flat,
+    _shifted,
+    _times_two_monomials,
 )
 from .render import weight_text
 from .torus import GeometryConfig
@@ -65,30 +67,6 @@ AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
 #: one summand of a class: (integer coefficient, y-power, h-factors);
 #: each factor is (weight, minus_one?) meaning h(T^w) or h(T^w) - 1.
 ProductTerm = tuple[int, int, tuple[tuple[Character, bool], ...]]
-
-#: a polynomial on flat ``(ypow, e_0, ..., e_m)`` exponent keys
-Flat = dict[tuple[int, ...], int]
-
-
-def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, sign: int = 1) -> Flat:
-    """``acc * (T^first + sign * T^second)`` on flat exponent keys, a shift
-    of None being the unit monomial: two shifted copies added, the second
-    times ``sign``.  Coefficients that cancel stay in as zeros.
-
-    >>> _times_two_monomials({(0, 1): 1}, None, (1, 0))
-    {(0, 1): 1, (1, 1): 1}
-    """
-    out: Flat = {}
-    for key, v in acc.items():
-        if first is not None:
-            key = tuple(map(add, key, first))
-        out[key] = out.get(key, 0) + v
-    for key, v in acc.items():
-        if second is not None:
-            key = tuple(map(add, key, second))
-        out[key] = out.get(key, 0) + sign * v
-    return out
-
 
 def _product(
     arity: int,
@@ -416,11 +394,6 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 
 
 affine_class.cache_clear = _cache_clear(_build_affine)
-
-
-def _shifted(acc: Flat, shift: tuple, sign: int = 1) -> Flat:
-    """``sign * T^shift * acc`` on flat exponent keys, zeros dropped."""
-    return {tuple(map(add, key, shift)): sign * v for key, v in acc.items() if v}
 
 
 def _restriction(cls: LocalClass, i: int) -> Flat:

@@ -14,6 +14,11 @@ coefficient is scanned.  A certificate is only accepted together with an
 exact round trip: substituting S_w = T^w - 1, delta = -1 - y must reproduce
 the original class as a rational function.
 
+Every block (``1 + delta``, h, h - 1, a lift ``S_w``) has at most three
+monomials, so the forms are built by shift-and-add on flat exponent keys
+with the class-assembly steps of :mod:`eck.algebra`; no two general
+polynomials are multiplied.
+
 * CCQ (and any other class recipe): :func:`recipe_form` translates each
   recipe term c * y^k * prod(h or h - 1) into c * (-1)^k * (1 + delta)^k
   times the numerators of its blocks, lifted by the S_w of the weights its
@@ -22,23 +27,27 @@ the original class as a rational function.
   + C^{n-2} * delta*(T^2 - 1)/(S_{t+t_m} S_{t-t_m}), where T^2 - 1 is
   rewritten through ambient weights: (S_t + 1)^2 - 1 = S_t^2 + 2 S_t when
   the zero coordinate exists (odd n), else
-  (S_{t+t_m}+1)(S_{t-t_m}+1) - 1 = S_a S_b + S_a + S_b.
+  (S_{t+t_m}+1)(S_{t-t_m}+1) - 1 = S_a S_b + S_a + S_b; C^{n-2} times it
+  is delta * (p * prod (1 + S) - p), p the numerator of C^{n-2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     Character,
     Coeff,
+    Flat,
     PackedBox,
     RatExpr,
     SparsePoly,
     _add_into,
-    _norm,
+    _shifted,
     _times_binomial,
+    _times_two_monomials,
     weight_box,
 )
 from .hirzebruch import ProductTerm, affine_class
@@ -49,24 +58,6 @@ SKey = tuple[int, ...]  # (delta exponent, S-exponent per weight)
 
 class StructuralRewriteFailed(ArithmeticError):
     """A monomial T^v was not a nonnegative combination of ambient weights."""
-
-
-def _dict_mul(a: Mapping, b: Mapping) -> dict:
-    out: dict = {}
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    for ka, ca in small.items():
-        for kb, cb in large.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            nc = out.get(k, 0) + ca * cb
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
-    return out
-
-
-def _dict_scale(a: Mapping, c: Coeff) -> dict:
-    return {} if c == 0 else {k: _norm(v * c) for k, v in a.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,53 +203,37 @@ class Certificate:
     roundtrip_note: str = ""
 
 
-def _one(width: int) -> dict:
-    return {(0,) * width: 1}
+def _s_key(weights: Sequence[Character], *ws: Character) -> SKey:
+    """The exponent key of ``prod S_w`` over ``ws`` (the unit key for none)."""
+    key = [0] * (1 + len(weights))
+    for w in ws:
+        if w not in weights:
+            raise StructuralRewriteFailed(f"weight {w.coeffs} is not an ambient S-variable")
+        key[1 + weights.index(w)] += 1
+    return tuple(key)
 
 
-def _h_num(width: int, i: int) -> dict:
-    """Numerator of h over S_{w_i}: delta + (1 + delta) S_{w_i}.
-
-    >>> t = GeometryConfig(1).affine_weight(0)
-    >>> print(SPolynomial((t,), _h_num(2, 0), (t,)))
-    (delta + S(t) + delta*S(t)) / S(t)
-    """
-    d = tuple(1 if j == 0 else 0 for j in range(width))
-    s = tuple(1 if j == 1 + i else 0 for j in range(width))
-    ds = tuple(x + y for x, y in zip(d, s))
-    return {d: 1, s: 1, ds: 1}
-
-
-def _h_minus_one_num(width: int, i: int) -> dict:
-    """Numerator of h - 1 over S_{w_i}: delta (1 + S_{w_i}).
-
-    >>> t = GeometryConfig(1).affine_weight(0)
-    >>> print(SPolynomial((t,), _h_minus_one_num(2, 0), (t,)))
-    (delta + delta*S(t)) / S(t)
-    """
-    d = tuple(1 if j == 0 else 0 for j in range(width))
-    s = tuple(1 if j == 1 + i else 0 for j in range(width))
-    ds = tuple(x + y for x, y in zip(d, s))
-    return {d: 1, ds: 1}
-
-
-def _s_var(width: int, i: int) -> dict:
-    return {tuple(1 if j == 1 + i else 0 for j in range(width)): 1}
-
-
-def _one_plus_delta_power(width: int, k: int) -> dict:
-    base = {(0,) * width: 1, tuple(1 if j == 0 else 0 for j in range(width)): 1}
-    out = _one(width)
-    for _ in range(k):
-        out = _dict_mul(out, base)
+def _times_block(part: Flat, delta: SKey, s: SKey, minus_one: bool) -> Flat:
+    """``part`` times the numerator over S_w of h (``delta + S_w + delta*S_w``)
+    or of h - 1 (``delta + delta*S_w``), ``s`` the key of S_w."""
+    ds = tuple(map(add, delta, s))
+    if minus_one:
+        return _times_two_monomials(part, delta, ds)
+    out = _times_two_monomials(part, delta, s)
+    _add_into(out, _shifted(part, ds))
     return out
 
 
-def _weight_index(weights: tuple[Character, ...], w: Character) -> int:
-    for i, cand in enumerate(weights):
-        if cand == w:
-            return i
-    raise StructuralRewriteFailed(f"weight {w.coeffs} is not an ambient S-variable")
+def _times_one_plus_s(part: Flat, weights: Sequence[Character], combo: Mapping[Character, int]) -> Flat:
+    """``part * prod (1 + S_w)^{e_w}``, one two-monomial step per factor;
+    a negative multiplicity raises StructuralRewriteFailed."""
+    for w, e in combo.items():
+        if e < 0:
+            raise StructuralRewriteFailed(f"negative multiplicity {e} for weight {w.coeffs}")
+        s = _s_key(weights, w)
+        for _ in range(e):
+            part = _times_two_monomials(part, None, s)
+    return part
 
 
 def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) -> dict:
@@ -268,7 +243,8 @@ def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) ->
     Each term becomes ``c * (-1)^k * (1 + delta)^k`` times the numerators of
     its blocks, lifted by the S-variables of the weights its factors leave
     out.  Raises StructuralRewriteFailed for a factor whose weight is not
-    among ``weights``.
+    among ``weights``.  Zero and cancelling terms add nothing: the lift is
+    one shift, which drops zeros.
 
     >>> t = GeometryConfig(1).affine_weight(0)
     >>> recipe_form([(1, 0, ((t, False),))], (t,))
@@ -276,39 +252,28 @@ def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) ->
     >>> recipe_form([(1, 0, ((t, True),))], (t,))
     {(1, 0): 1, (1, 1): 1}
     """
-    width = 1 + len(weights)
+    delta = (1,) + (0,) * len(weights)
     total: dict = {}
     for c, k, factors in recipes:
-        part = _dict_scale(_one_plus_delta_power(width, k), c * (-1) ** k)
+        part = {_s_key(weights): c * (-1) ** k}
+        for _ in range(k):
+            part = _times_two_monomials(part, None, delta)
         left_out = list(weights)
         for w, minus_one in factors:
-            i = _weight_index(weights, w)
+            part = _times_block(part, delta, _s_key(weights, w), minus_one)
             left_out.remove(w)
-            part = _dict_mul(part, _h_minus_one_num(width, i) if minus_one else _h_num(width, i))
-        for w in left_out:  # lift to the common denominator prod S_w
-            part = _dict_mul(part, _s_var(width, _weight_index(weights, w)))
-        _add_into(total, part)
+        _add_into(total, _shifted(part, _s_key(weights, *left_out)))  # lift to prod S_w
     return total
 
 
 def product_of_weights_minus_one(weights: tuple[Character, ...], combo: Mapping[Character, int]) -> dict:
     """Rewrite ``T^v - 1`` where ``T^v = prod T^{w}^{e_w}`` with nonnegative
-    multiplicities: expands ``prod (S_w + 1)^{e_w} - 1``.
-
-    Raises StructuralRewriteFailed on a negative multiplicity (the monomial
-    would not be a nonnegative combination of ambient weights).
-    """
-    width = 1 + len(weights)
-    out = _one(width)
-    for w, e in combo.items():
-        if e < 0:
-            raise StructuralRewriteFailed(f"negative multiplicity {e} for weight {w.coeffs}")
-        i = _weight_index(weights, w)
-        s_plus_1 = _s_var(width, i)
-        _add_into(s_plus_1, _one(width))
-        for _ in range(e):
-            out = _dict_mul(out, s_plus_1)
-    _add_into(out, _dict_scale(_one(width), -1))
+    multiplicities: expands ``prod (S_w + 1)^{e_w} - 1``.  Raises
+    StructuralRewriteFailed on a negative multiplicity (the monomial would
+    not be a nonnegative combination of ambient weights)."""
+    one = _s_key(weights)
+    out = _times_one_plus_s({one: 1}, weights, combo)
+    _add_into(out, {one: -1})
     return out
 
 
@@ -323,49 +288,40 @@ def cq_step_correction(n: int) -> SPolynomial:
     geo = GeometryConfig(n)
     if geo.m < 1:
         raise ValueError("the recursion step needs n >= 2")
-    t = geo.t
-    st = _s_var(2, 0)
-    st_sq = _dict_mul(st, st)
-    _add_into(st_sq, _dict_scale(st, 2))
-    num = _dict_mul({(1, 0): 1}, st_sq)
-    return SPolynomial((t,), num, (geo.affine_weight(geo.m), geo.affine_weight(-geo.m)))
+    num = _shifted(product_of_weights_minus_one((geo.t,), {geo.t: 2}), (1, 0))
+    return SPolynomial((geo.t,), num, (geo.affine_weight(geo.m), geo.affine_weight(-geo.m)))
 
 
-def _correction_num(geo: GeometryConfig, weights: tuple[Character, ...], msub: int) -> dict:
-    """Numerator ``delta * (T^2 - 1)`` of the level-msub correction, rewritten
-    through ambient weights only: via S_t twice when t is a weight (odd n),
-    else via the top-pair weights a = t + t_msub, b = t - t_msub."""
-    width = 1 + len(weights)
+def _times_correction(p: Flat, geo: GeometryConfig, weights: tuple[Character, ...], msub: int) -> Flat:
+    """``p`` times the level-msub correction numerator ``delta * (T^2 - 1)``,
+    as ``delta * (p * prod (1 + S_w) - p)``: T^2 is S_t twice when t is a
+    weight (odd n), else the top-pair weights t + t_msub and t - t_msub."""
     if geo.odd:
         combo = {geo.affine_weight(0): 2}
     else:
         combo = {geo.affine_weight(msub): 1, geo.affine_weight(-msub): 1}
-    delta = {tuple(1 if j == 0 else 0 for j in range(width)): 1}
-    return _dict_mul(delta, product_of_weights_minus_one(weights, combo))
+    out = _times_one_plus_s(p, weights, combo)
+    _add_into(out, _shifted(p, _s_key(weights), -1))
+    return _shifted(out, (1,) + (0,) * len(weights))
 
 
 def _cq_spoly_num(geo: GeometryConfig, weights: tuple[Character, ...], nsub: int) -> dict:
     """pos2 recursion for the numerator of CQ_nsub over ``prod S_w`` (w
     ranging over the weights of C^nsub): the cone-point bases are 1 and, for
     the odd chain, the origin of the x_0 line."""
-    width = 1 + len(weights)
+    delta = (1,) + (0,) * len(weights)
     if nsub == 0:
-        return _one(width)
+        return {_s_key(weights): 1}
     if nsub == 1:
-        return _s_var(width, _weight_index(weights, geo.affine_weight(0)))
+        return {_s_key(weights, geo.affine_weight(0)): 1}
     msub = nsub // 2
-    a = geo.affine_weight(msub)
-    b = geo.affine_weight(-msub)
-    sa = _s_var(width, _weight_index(weights, a))
-    sb = _s_var(width, _weight_index(weights, b))
-    inner = _cq_spoly_num(geo, weights, nsub - 2)
-    term1 = _dict_mul(_dict_mul(_one_plus_delta_power(width, 1), inner), _dict_mul(sa, sb))
-    cnum = _one(width)
+    inner = _times_two_monomials(_cq_spoly_num(geo, weights, nsub - 2), None, delta)
+    total = _shifted(inner, _s_key(weights, geo.affine_weight(msub), geo.affine_weight(-msub)))
+    cnum = {_s_key(weights): 1}
     for j in geo.indices_for(nsub - 2):
-        cnum = _dict_mul(cnum, _h_num(width, _weight_index(weights, geo.affine_weight(j))))
-    term2 = _dict_mul(cnum, _correction_num(geo, weights, msub))
-    _add_into(term1, term2)
-    return term1
+        cnum = _times_block(cnum, delta, _s_key(weights, geo.affine_weight(j)), False)
+    _add_into(total, _times_correction(cnum, geo, weights, msub))
+    return total
 
 
 def to_positive_form(kind: str, n: int) -> SPolynomial:

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 from eck import cli, identities
-from eck.algebra import DenominatorVanishes, NotDivisible, RatExpr, SparsePoly
+from eck.algebra import Character, DenominatorVanishes, NotDivisible, RatExpr, SparsePoly
 from eck.cli import run
 from eck.identities import ResidualTDependence
-from eck.positivity import StructuralRewriteFailed
+from eck.positivity import Certificate, SPolynomial, StructuralRewriteFailed
 from eck.specialize import NonvanishingNegativeUPart, ZeroClass
 
 
@@ -110,6 +110,19 @@ def test_failed_latex_verify_row_carries_its_escaped_witness(capsys, monkeypatch
     assert row.startswith(r"\texttt{proj} & 3 &  & FAILED --- p\_0 (Xc - Qc) differs at T=(")
     assert r"; p\_0 (Q - X) differs at T=(" in row and row.endswith(r" \\")
     assert "p_0" not in row
+
+
+def test_failed_certificate_names_its_witness_and_round_trip(capsys, monkeypatch):
+    t = Character((1, 0))
+    spoly = SPolynomial((t,), {(0, 1): 2, (1, 1): -3}, (t,))
+    note = "differs at T=(2, 3), y=5: 1 != 2"
+    bad = Certificate(("CQ", 3), spoly, False, ((1, 1), -3), False, note)
+    monkeypatch.setattr(cli, "certify", lambda kind, n, seed=0: bad)
+    line = f"CQ_3: negative coefficient -3 at exponents (1, 1); round trip failed: back-substitution {note}"
+    assert run(["certify", "--kind", "CQ", "--n", "3"]) == 1
+    assert capsys.readouterr().out == line + "\n"
+    assert run(["certify", "--kind", "CQ", "--n", "3", "--format", "latex"]) == 1
+    assert capsys.readouterr().out == f"CQ_{{3}}: {line} \\\\\n"
 
 
 def test_compute_latex_forms(capsys):

@@ -39,6 +39,9 @@ def test_h_block_terms():
     # a weight the term leaves out lifts it by its S-variable
     u = Character((2,))
     assert recipe_form([(1, 0, ((t, True),))], (t, u)) == {(1, 0, 1): 1, (1, 1, 1): 1}
+    # a zero term and a pair of terms that cancel add nothing
+    assert recipe_form([(0, 0, ((t, False),))], (t,)) == {}
+    assert recipe_form([(1, 1, ((t, False),)), (-1, 1, ((t, False),))], (t,)) == {}
 
 
 def test_h_block_needs_ambient_weight():
@@ -223,6 +226,97 @@ def test_every_class_recipe_has_a_positive_form(n):
         spoly = SPolynomial(weights, recipe_form(recipe, weights), weights)
         assert spoly.terms and all(c > 0 for c in spoly.terms.values()), subject
         assert spoly.to_ratexpr_horner(geo.arity).equivalent(value), subject
+
+
+# -- the forms against a general product --------------------------------------
+#
+# Shift-and-add builds the forms; a general product of two forms rebuilds
+# them block by block.  The weights are dependent, so the values alone do
+# not fix the representation; the two builds must agree as dicts.
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _blocks(weights):
+    """The unit, delta, and the S_w key of every weight, on ``(delta, S...)`` keys."""
+    width = 1 + len(weights)
+    key = lambda *places: tuple(places.count(j) for j in range(width))  # noqa: E731
+    return key(), key(0), {w: key(1 + i) for i, w in enumerate(weights)}
+
+
+def _h(delta, s, minus_one=False):
+    ds = tuple(x + y for x, y in zip(delta, s))
+    return {delta: 1, ds: 1} if minus_one else {delta: 1, s: 1, ds: 1}
+
+
+def _recipe_form_by_products(recipes, weights) -> dict:
+    one, delta, s = _blocks(weights)
+    total: dict = {}
+    for c, k, factors in recipes:
+        part = {one: c * (-1) ** k}
+        for _ in range(k):
+            part = _dict_mul(part, {one: 1, delta: 1})
+        left_out = list(weights)
+        for w, minus_one in factors:
+            left_out.remove(w)
+            part = _dict_mul(part, _h(delta, s[w], minus_one))
+        for w in left_out:
+            part = _dict_mul(part, {s[w]: 1})
+        for key, v in part.items():
+            total[key] = total.get(key, 0) + v
+    return {key: v for key, v in total.items() if v}
+
+
+def _cq_num_by_products(geo, weights, nsub) -> dict:
+    one, delta, s = _blocks(weights)
+    if nsub < 2:
+        return {one: 1} if nsub == 0 else {s[geo.affine_weight(0)]: 1}
+    sa, sb = s[geo.affine_weight(nsub // 2)], s[geo.affine_weight(-(nsub // 2))]
+    inner = _dict_mul({one: 1, delta: 1}, _cq_num_by_products(geo, weights, nsub - 2))
+    total = _dict_mul(inner, {tuple(x + y for x, y in zip(sa, sb)): 1})
+    cnum = {one: 1}
+    for j in geo.indices_for(nsub - 2):
+        cnum = _dict_mul(cnum, _h(delta, s[geo.affine_weight(j)]))
+    if geo.odd:  # T^2 - 1 = S_t^2 + 2 S_t
+        st = s[geo.t]
+        t2 = {tuple(2 * e for e in st): 1, st: 2}
+    else:  # T^2 - 1 = S_a S_b + S_a + S_b
+        t2 = {tuple(x + y for x, y in zip(sa, sb)): 1, sa: 1, sb: 1}
+    for key, v in _dict_mul(cnum, _dict_mul({delta: 1}, t2)).items():
+        total[key] = total.get(key, 0) + v
+    return {key: v for key, v in total.items() if v}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_recipe_forms_equal_the_general_product(n):
+    # every affine kind at n = 2..8, every nonzero projective point at n <= 6
+    geo = GeometryConfig(n)
+    weights = tuple(ambient_weights(n))
+    cases = [(kind, affine_class(kind, n).recipes, weights) for kind in AFFINE_KINDS]
+    if n <= 6:
+        for kind in PROJECTIVE_KINDS:
+            cls = projective_class(kind, n)
+            for i, value in cls.values.items():
+                if not value.num.is_zero:
+                    cases.append(((kind, i), cls.recipes[i], geo.tangent_weights(i)))
+    for subject, recipe, ws in cases:
+        assert recipe_form(recipe, ws) == _recipe_form_by_products(recipe, ws), subject
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cq_recursion_equals_the_general_product(n):
+    geo = GeometryConfig(n)
+    weights = tuple(ambient_weights(n))
+    got = _cq_spoly_num(geo, weights, n)
+    assert got == _cq_num_by_products(geo, weights, n)
+    assert dict(to_positive_form("CQ", n).terms) == got
 
 
 @st.composite
