@@ -247,8 +247,8 @@ def _dict_mul(a: dict, b: dict) -> dict:
 def _blocks(weights):
     """The unit, delta, and the S_w key of every weight, on ``(delta, S...)`` keys."""
     width = 1 + len(weights)
-    key = lambda *places: tuple(places.count(j) for j in range(width))  # noqa: E731
-    return key(), key(0), {w: key(1 + i) for i, w in enumerate(weights)}
+    unit = [tuple(int(i == j) for i in range(width)) for j in range(width)]
+    return (0,) * width, unit[0], {w: unit[1 + i] for i, w in enumerate(weights)}
 
 
 def _h(delta, s, minus_one=False):
