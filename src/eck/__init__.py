@@ -14,7 +14,6 @@ from .algebra import (
     Character,
     DenominatorVanishes,
     DivisionByZero,
-    Monomial,
     NotDivisible,
     RatExpr,
     SparsePoly,
@@ -71,7 +70,6 @@ __all__ = [
     "FORMULAS",
     "GeometryConfig",
     "LocalClass",
-    "Monomial",
     "NonvanishingNegativeUPart",
     "NotDivisible",
     "PROJECTIVE_KINDS",

@@ -5,6 +5,10 @@ The coefficient field is Q (``fractions.Fraction``, with plain ints kept
 wherever possible).  A monomial is ``T^w * y^k`` where ``w`` is an integer
 character of a fixed-rank lattice and ``k >= 0``; ``T^w`` stands for
 ``e^{-w}``, so ``T^u * T^v = T^{u+v}`` and character entries may be negative.
+A polynomial keys each monomial by the flat tuple ``(k, w_0, ..., w_m)``,
+as sympy's ``PolyElement`` does: monomials multiply by adding keys, and the
+tuples' own order is the term order.  :class:`Character` names weights:
+denominators, lattice maps, shifts.
 Rational expressions keep their denominators *factored* as a multiset of
 nonzero characters, each meaning a factor ``(1 - T^w)``.  Denominators are
 never expanded unless an operation requires it (equality by
@@ -25,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Coeff = int | Fraction
 
@@ -112,23 +116,16 @@ class Character:
         return f"Character({self.coeffs!r})"
 
 
-class Monomial(NamedTuple):
-    """A single monomial ``T^char * y^ypow`` (``ypow >= 0``)."""
-
-    char: Character
-    ypow: int
-
-
-def _order_key(m: Monomial) -> tuple:
-    """Canonical term order: lexicographic on (ypow, character entries)."""
-    return (m.ypow, m.char.coeffs)
+#: a polynomial on flat exponent keys: ``(ypow, e_0, ..., e_m)``, or ``(delta, S_1, ...)``
+Flat = dict[tuple[int, ...], Coeff]
 
 
 @dataclass(frozen=True, slots=True)
 class SparsePoly:
     """Sparse Laurent polynomial in T-variables and y over Q.
 
-    ``terms`` maps :class:`Monomial` to a nonzero coefficient.  Instances are
+    ``terms`` maps the flat exponent key ``(ypow, e_0, ..., e_m)`` of each
+    monomial ``y^ypow * T^e`` to a nonzero coefficient.  Instances are
     treated as immutable: every operation returns a new polynomial, so values
     can be shared freely.
 
@@ -138,10 +135,12 @@ class SparsePoly:
     1 - T + y*T - y*T^2
     >>> (1 - T) * (1 + T)
     1 - T^2
+    >>> (y * T).terms
+    {(1, 1): 1}
     """
 
     arity: int
-    terms: dict = field(default_factory=dict)
+    terms: Flat = field(default_factory=dict)
 
     @classmethod
     def zero(cls, arity: int) -> SparsePoly:
@@ -149,10 +148,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, arity: int, c: Coeff) -> SparsePoly:
-        c = _norm(c)
-        if c == 0:
-            return cls.zero(arity)
-        return cls(arity, {Monomial(Character.zero(arity), 0): c})
+        return cls.y_power(arity, 0, c)
 
     @classmethod
     def one(cls, arity: int) -> SparsePoly:
@@ -162,7 +158,7 @@ class SparsePoly:
     def y_power(cls, arity: int, k: int = 1, coeff: Coeff = 1) -> SparsePoly:
         if k < 0:
             raise ValueError("y admits only nonnegative exponents")
-        return cls(arity, {Monomial(Character.zero(arity), k): _norm(coeff)}) if coeff else cls.zero(arity)
+        return cls(arity, {(k,) + (0,) * arity: _norm(coeff)}) if coeff else cls.zero(arity)
 
     @classmethod
     def monomial(cls, char: Character, ypow: int = 0, coeff: Coeff = 1) -> SparsePoly:
@@ -170,22 +166,23 @@ class SparsePoly:
             raise ValueError("y admits only nonnegative exponents")
         if coeff == 0:
             return cls.zero(char.arity)
-        return cls(char.arity, {Monomial(char, ypow): _norm(coeff)})
+        return cls(char.arity, {(ypow,) + char.coeffs: _norm(coeff)})
 
     @classmethod
-    def from_terms(cls, arity: int, items: Iterable[tuple[Monomial, Coeff]]) -> SparsePoly:
-        acc: dict = {}
-        for m, c in items:
-            if m.char.arity != arity:
-                raise ArityMismatch(f"term arity {m.char.arity} != {arity}")
-            if m.ypow < 0:
+    def from_terms(cls, arity: int, items: Iterable[tuple[tuple[int, ...], Coeff]]) -> SparsePoly:
+        """The sum of ``c * y^key[0] * T^key[1:]`` over the ``(key, c)`` pairs."""
+        acc: Flat = {}
+        for key, c in items:
+            if len(key) != arity + 1:
+                raise ArityMismatch(f"term arity {len(key) - 1} != {arity}")
+            if key[0] < 0:
                 raise ValueError("y admits only nonnegative exponents")
-            nc = acc.get(m, 0) + c
+            nc = acc.get(key, 0) + c
             if nc:
-                acc[m] = nc
+                acc[key] = nc
             else:
-                acc.pop(m, None)
-        return cls(arity, {m: _norm(c) for m, c in acc.items()})
+                acc.pop(key, None)
+        return cls(arity, {key: _norm(c) for key, c in acc.items()})
 
     # -- basic queries ------------------------------------------------
 
@@ -193,17 +190,18 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items(), key=lambda it: _order_key(it[0]))
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
+        """The terms in canonical order: by y-power, then character entries."""
+        return sorted(self.terms.items())
 
     def is_y_only(self) -> bool:
-        return all(m.char.is_zero() for m in self.terms)
+        return not any(any(key[1:]) for key in self.terms)
 
     def y_coefficients(self) -> dict[int, Coeff]:
         """Coefficient of each y-power; requires a T-free polynomial."""
         if not self.is_y_only():
             raise ValueError("polynomial still depends on T-variables")
-        return {m.ypow: c for m, c in sorted(self.terms.items(), key=lambda it: it[0].ypow)}
+        return {key[0]: c for key, c in self.sorted_terms()}
 
     # -- ring operations ----------------------------------------------
 
@@ -220,7 +218,7 @@ class SparsePoly:
         for m, c in small.items():
             nc = acc.get(m, 0) + c
             if nc:
-                acc[m] = _norm(nc)
+                acc[m] = nc if type(nc) is int else _norm(nc)
             else:
                 del acc[m]
         return SparsePoly(self.arity, acc)
@@ -245,17 +243,19 @@ class SparsePoly:
             return SparsePoly(self.arity, {m: _norm(c * other) for m, c in self.terms.items()})
         self._check(other)
         small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc: dict = {}
+        acc: Flat = {}
+        get = acc.get
         for m1, c1 in small.terms.items():
-            ch1, y1 = m1
             for m2, c2 in large.terms.items():
-                m = Monomial(ch1 + m2.char, y1 + m2.ypow)
-                nc = acc.get(m, 0) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                nc = get(m, 0) + c1 * c2
                 if nc:
                     acc[m] = nc
                 else:
                     del acc[m]
-        return SparsePoly(self.arity, {m: _norm(c) for m, c in acc.items()})
+        if any(Fraction in map(type, p.terms.values()) for p in (small, large)):  # else all ints
+            acc = {m: _norm(c) for m, c in acc.items()}
+        return SparsePoly(self.arity, acc)
 
     __rmul__ = __mul__
 
@@ -273,12 +273,12 @@ class SparsePoly:
 
     def shifted(self, char: Character, ypow: int = 0, coeff: Coeff = 1) -> SparsePoly:
         """Multiply by the monomial ``coeff * T^char * y^ypow``."""
+        if char.arity != self.arity:
+            raise ArityMismatch(f"arity {char.arity} != {self.arity}")
         if coeff == 0:
             return SparsePoly.zero(self.arity)
-        return SparsePoly(
-            self.arity,
-            {Monomial(m.char + char, m.ypow + ypow): _norm(c * coeff) for m, c in self.terms.items()},
-        )
+        shift = (ypow,) + char.coeffs
+        return SparsePoly(self.arity, {tuple(map(add, m, shift)): _norm(c * coeff) for m, c in self.terms.items()})
 
     def mul_one_minus(self, w: Character) -> SparsePoly:
         """Multiply by the factor ``(1 - T^w)`` without generic convolution."""
@@ -289,17 +289,18 @@ class SparsePoly:
     def subs_y(self, value: Coeff) -> SparsePoly:
         """Substitute an exact rational value for y, keeping T symbolic."""
         powers: dict[int, Coeff] = {0: 1}
-        acc: dict = {}
-        for m, c in self.terms.items():
-            power = powers.get(m.ypow)
+        acc: Flat = {}
+        for (ypow, *char), c in self.terms.items():
+            power = powers.get(ypow)
             if power is None:
-                power = powers[m.ypow] = Fraction(value) ** m.ypow
-            nc = acc.get(m.char, 0) + c * power
+                power = powers[ypow] = Fraction(value) ** ypow
+            key = (0, *char)
+            nc = acc.get(key, 0) + c * power
             if nc:
-                acc[m.char] = nc
+                acc[key] = nc
             else:
-                acc.pop(m.char, None)
-        return SparsePoly(self.arity, {Monomial(ch, 0): _norm(c) for ch, c in acc.items()})
+                acc.pop(key, None)
+        return SparsePoly(self.arity, {key: _norm(c) for key, c in acc.items()})
 
     def apply_map(self, images: Sequence[Character]) -> SparsePoly:
         """Apply the lattice map sending basis character i to ``images[i]``."""
@@ -309,14 +310,15 @@ class SparsePoly:
         if len(arities) > 1:
             raise IllFormedMap("image characters have mixed arities")
         target = arities.pop() if arities else 0
-        acc: dict = {}
+        rows = [img.coeffs for img in images]
+        acc: Flat = {}
         for m, c in self.terms.items():
-            vec = [0] * target
-            for e, img in zip(m.char.coeffs, images):
+            vec = [m[0]] + [0] * target
+            for e, img in zip(m[1:], rows):
                 if e:
-                    for i, a in enumerate(img.coeffs):
+                    for i, a in enumerate(img, 1):
                         vec[i] += e * a
-            nm = Monomial(Character(tuple(vec)), m.ypow)
+            nm = tuple(vec)
             nc = acc.get(nm, 0) + c
             if nc:
                 acc[nm] = nc
@@ -332,13 +334,13 @@ class SparsePoly:
             raise ValueError("T-variables take nonzero values (negative exponents occur)")
         yval = Fraction(yval)
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for (ypow, *char), c in self.terms.items():
             v = Fraction(c)
-            for val, e in zip(tvals, m.char.coeffs):
+            for val, e in zip(tvals, char):
                 if e:
                     v *= Fraction(val) ** e
-            if m.ypow:
-                v *= yval ** m.ypow
+            if ypow:
+                v *= yval**ypow
             total += v
         return _norm(total)
 
@@ -346,7 +348,7 @@ class SparsePoly:
 
     def div_by_one_minus(self, w: Character) -> SparsePoly:
         """Exact division by ``(1 - T^w)`` (w nonzero): :func:`_flat_over_one_minus`
-        on the flat exponent keys of the terms.
+        on the terms.
 
         >>> T = SparsePoly.monomial(Character((1,)))
         >>> (1 - T**3).div_by_one_minus(Character((1,)))
@@ -356,7 +358,7 @@ class SparsePoly:
             raise DivisionByZero("division by 1 - T^0 = 0")
         if self.is_zero:
             return self
-        return _from_flat(self.arity, _flat_over_one_minus(_flat(self), w.coeffs))
+        return SparsePoly(self.arity, _flat_over_one_minus(self.terms, w.coeffs))
 
     def __str__(self) -> str:
         from .render import poly_text
@@ -366,16 +368,7 @@ class SparsePoly:
     __repr__ = __str__
 
 
-# -- flat exponent keys ---------------------------------------------------------
-
-
-#: a polynomial on flat exponent keys: ``(ypow, e_0, ..., e_m)``, or ``(delta, S_1, ...)``
-Flat = dict[tuple[int, ...], Coeff]
-
-
-def _flat(p: SparsePoly) -> Flat:
-    """The terms of ``p`` keyed by flat ``(ypow, e_0, ..., e_m)`` tuples."""
-    return {(ypow,) + char.coeffs: c for (char, ypow), c in p.terms.items()}
+# -- shift-and-add steps on flat exponent keys ---------------------------------
 
 
 def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, sign: int = 1) -> Flat:
@@ -401,12 +394,6 @@ def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, s
 def _shifted(acc: Flat, shift: tuple, sign: int = 1) -> Flat:
     """``sign * T^shift * acc`` on flat exponent keys, zeros dropped."""
     return {tuple(map(add, key, shift)): sign * v for key, v in acc.items() if v}
-
-
-def _from_flat(arity: int, f: Mapping[tuple[int, ...], Coeff], scale: Coeff = 1) -> SparsePoly:
-    """The polynomial ``scale * f`` from flat ``(ypow, e_0, ..., e_m)`` keys;
-    zero coefficients are dropped."""
-    return SparsePoly(arity, {Monomial(Character(key[1:]), key[0]): _norm(scale * c) for key, c in f.items() if c})
 
 
 def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> Flat:
@@ -438,7 +425,7 @@ def _flat_over_one_minus(f: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -
         for k in range(min(coeffs), max(coeffs)):
             running += coeffs.get(k, 0)
             if running:
-                out[tuple([a + k * b for a, b in zip(rep, step)])] = running
+                out[tuple([a + k * b for a, b in zip(rep, step)])] = _norm(running)
     return out
 
 
@@ -486,13 +473,14 @@ class PackedBox:
         """The key of ``T^e`` (add ``k`` for ``T^e y^k``)."""
         return self.ystride * sum(map(mul, self.radix, e))
 
-    def monomial(self, key: int) -> Monomial:
-        """The monomial of the box that packs to ``key``."""
+    def monomial(self, key: int) -> tuple[int, ...]:
+        """The flat ``(ypow, e_0, ..., e_m)`` key of the monomial of the box
+        that packs to ``key``."""
         digits, packed = [], key // self.ystride - self._base
         for r in reversed(self.radix):
             digits.append(packed // r)
             packed %= r
-        return Monomial(Character(tuple(d + b for d, b in zip(reversed(digits), self.lo))), key % self.ystride)
+        return (key % self.ystride, *(d + b for d, b in zip(reversed(digits), self.lo)))
 
     def unpack(self, f: dict[int, Coeff]) -> SparsePoly:
         """The polynomial in the box whose image is ``f``."""
@@ -520,13 +508,14 @@ def _times_binomial(f: dict[int, Coeff], step: int, sign: int) -> dict[int, Coef
 
 
 def _add_into(total: dict, f: Mapping) -> None:
-    """Add the sparse polynomial ``f`` to ``total`` in place (any key type; no stored zeros)."""
+    """Add the sparse polynomial ``f`` to ``total`` in place (any key type;
+    ``total`` keeps no zeros, and a zero in ``f`` adds nothing)."""
     for k, c in f.items():
         nc = total.get(k, 0) + c
         if nc:
             total[k] = nc
         else:
-            del total[k]
+            total.pop(k, None)
 
 
 def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
@@ -594,8 +583,8 @@ def sample_points(arity: int, seed: int, rounds: int = 3) -> list[tuple[list[Fra
 def _nonzero_at_one(p: SparsePoly) -> bool:
     """True when ``p(T = 1, y)`` is a nonzero polynomial in y."""
     at_one: dict[int, Coeff] = {}
-    for (_, ypow), c in p.terms.items():
-        at_one[ypow] = at_one.get(ypow, 0) + c
+    for key, c in p.terms.items():
+        at_one[key[0]] = at_one.get(key[0], 0) + c
     return any(at_one.values())
 
 
@@ -807,11 +796,10 @@ class RatExpr:
         num = self.num.apply_map(images)
         den = []
         for w in self.den:
-            img = SparsePoly.monomial(w, 0, 1).apply_map(images)
-            (m,) = img.terms
-            if m.char.is_zero():
+            (key,) = SparsePoly.monomial(w).apply_map(images).terms
+            if not any(key[1:]):
                 raise DenominatorVanishes(f"map sends denominator factor {w.coeffs} to 1 - T^0")
-            den.append(m.char)
+            den.append(Character(key[1:]))
         return RatExpr(num, tuple(den))
 
     def __str__(self) -> str:
@@ -828,7 +816,7 @@ def hfactor_expr(w: Character) -> RatExpr:
     independent reference that the tests check class assembly against."""
     if w.is_zero():
         raise DivisionByZero("h-factor of the zero weight")
-    num = SparsePoly.from_terms(w.arity, [(Monomial(w, 1), 1), (Monomial(Character.zero(w.arity), 0), 1)])
+    num = SparsePoly.from_terms(w.arity, [((1,) + w.coeffs, 1), ((0,) * (w.arity + 1), 1)])
     return RatExpr(num, (w,))
 
 
@@ -837,5 +825,5 @@ def hfactor_minus_one_expr(w: Character) -> RatExpr:
     line C*; like :func:`hfactor_expr`, a reference for the tests only."""
     if w.is_zero():
         raise DivisionByZero("h-factor of the zero weight")
-    num = SparsePoly.from_terms(w.arity, [(Monomial(w, 1), 1), (Monomial(w, 0), 1)])
+    num = SparsePoly.from_terms(w.arity, [((1,) + w.coeffs, 1), ((0,) + w.coeffs, 1)])
     return RatExpr(num, (w,))

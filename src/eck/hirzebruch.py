@@ -30,8 +30,9 @@ reduction (see :func:`sum_of_products`).
 
 :func:`projective_class` and :func:`affine_class` build each class once per
 process: the result is cached on the normalized ``(kind, n, geometry)``,
-returned to every caller as the same read-only object, and its monomials
-share one table of :class:`Character` objects with every other cached class.
+returned to every caller as the same read-only object, and its flat
+exponent keys and denominator characters are interned in one table shared
+with every other cached class.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ from .algebra import (
     Character,
     DivisionByZero,
     Flat,
-    Monomial,
     NotDivisible,
     RatExpr,
     SparsePoly,
     _add_into,
-    _flat,
     _flat_over_one_minus,
-    _from_flat,
+    _norm,
     _shifted,
     _times_two_monomials,
 )
@@ -95,7 +94,7 @@ def _product(
     if start is None:
         acc = {(k,) + zero: 1} if c else {}
     else:
-        acc = {(m.ypow + k,) + m.char.coeffs: v for m, v in start.terms.items()} if c else {}
+        acc = _shifted(start.terms, (k,) + zero) if c else {}
     scale = c
     den = []
     for w, minus_one in factors:
@@ -109,7 +108,7 @@ def _product(
             shifts = (None, unit_y) if minus_one else (unit_y, (0,) + w.coeffs)
         den.append(w)
         acc = _times_two_monomials(acc, *shifts)
-    return RatExpr(_from_flat(arity, acc, scale), tuple(den))
+    return RatExpr(SparsePoly(arity, {key: _norm(scale * v) for key, v in acc.items() if v}), tuple(den))
 
 
 def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
@@ -161,25 +160,26 @@ def sum_of_products(arity: int, terms: Iterable[ProductTerm]) -> RatExpr:
     return RatExpr(_product(arity, 1, 0, common, inner.num).num, inner.den)
 
 
-#: one object per distinct character among the values of the cached classes
-_CHARACTERS: dict[Character, Character] = {}
+#: one object per distinct flat key and per distinct denominator character
+#: among the values of the cached classes
+_INTERNED: dict = {}
 
 
 def _shared(expr: RatExpr) -> RatExpr:
-    """``expr`` with every character taken from the shared table, so that the
-    cached classes hold one :class:`Character` per distinct character; the
-    terms and the denominator keep their order."""
-    share = _CHARACTERS.setdefault
-    num = {Monomial(share(m.char, m.char), m.ypow): c for m, c in expr.num.terms.items()}
+    """``expr`` with every flat key and denominator character taken from the
+    interning table, so that the cached classes hold one object per distinct
+    key; the terms and the denominator keep their order."""
+    share = _INTERNED.setdefault
+    num = {share(key, key): c for key, c in expr.num.terms.items()}
     return RatExpr(SparsePoly(expr.arity, num), tuple(share(w, w) for w in expr.den))
 
 
 def _cache_clear(build) -> Callable[[], None]:
-    """Empty the cache of ``build`` and the shared character table."""
+    """Empty the cache of ``build`` and the interning table."""
 
     def cache_clear() -> None:
         build.cache_clear()
-        _CHARACTERS.clear()
+        _INTERNED.clear()
 
     return cache_clear
 
@@ -432,7 +432,7 @@ def _restriction(cls: LocalClass, i: int) -> Flat:
             f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(next(iter(left)))}) "
             f"is not a tangent weight of P^{geo.n - 1} there"
         )
-    acc = _flat(value.num)
+    acc = value.num.terms
     for tj in others:
         acc = _times_two_monomials(acc, (0,) + ti.coeffs, (0,) + tj.coeffs, -1)
     return _shifted(acc, (0,) + shift.coeffs, sign)
@@ -513,4 +513,4 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
         acc = _times_two_monomials(acc, None, cx[k], -1)
         _add_into(acc, _shifted(table[k], (0,) + geo.t.scaled(n - 1 - k).coeffs))
     acc = _times_two_monomials(acc, None, (1,) + (0,) * geo.arity)
-    return RatExpr(_from_flat(geo.arity, acc), tuple(geo.affine_weight(j) for j in nodes)).reduced()
+    return RatExpr(SparsePoly.from_terms(geo.arity, acc.items()), tuple(geo.affine_weight(j) for j in nodes)).reduced()

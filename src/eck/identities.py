@@ -45,7 +45,6 @@ from typing import Callable, Sequence
 
 from .algebra import (
     Character,
-    Monomial,
     PackedBox,
     RatExpr,
     SparsePoly,
@@ -407,7 +406,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     groups = [(axis, group) for axis, group in groups if group]
     values = [v for _, group in groups for v in group]
     factors = list(reduce(or_, (Counter(v.den) for v in values), Counter()).elements())
-    chars = {m.char.coeffs for v in values for m in v.num.terms}
+    chars = {key[1:] for v in values for key in v.num.terms}
     lo, hi = weight_box(factors, arity)
     for k, column in enumerate(zip(*chars)):
         lo[k] += min(0, *column)
@@ -424,9 +423,9 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     def pack(v: RatExpr) -> dict[int, int]:
         """The numerator of ``v`` times ``scale``, y-powers in ``width``-bit slots."""
         part: dict[int, int] = {}
-        for m, c in v.num.terms.items():
-            k = packed[m.char.coeffs]
-            part[k] = part.get(k, 0) + (int(c * scale) << width * m.ypow)
+        for key, c in v.num.terms.items():
+            k = packed[key[1:]]
+            part[k] = part.get(k, 0) + (int(c * scale) << width * key[0])
         return part
 
     def cancel(
@@ -478,11 +477,11 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         ypow, c = next(iter(_balanced_digits(total[leftover], width).items()))
         raise ResidualTDependence(
             f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
-            f"leftover term {SparsePoly.monomial(box.monomial(leftover).char, ypow, Fraction(c, scale))}"
+            f"leftover term {SparsePoly.monomial(Character(box.monomial(leftover)[1:]), ypow, Fraction(c, scale))}"
         )
-    zero = Character.zero(arity)
+    zero = (0,) * arity
     digits = _balanced_digits(total.get(0, 0), width)
-    return SparsePoly.from_terms(arity, [(Monomial(zero, k), Fraction(c, scale)) for k, c in digits.items()])
+    return SparsePoly.from_terms(arity, [((k,) + zero, Fraction(c, scale)) for k, c in digits.items()])
 
 
 def chi_y(kind: str, n: int) -> SparsePoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import Character, Monomial, RatExpr, SparsePoly
+from .algebra import Character, RatExpr, SparsePoly
 
 
 class _Style(NamedTuple):
@@ -72,8 +72,8 @@ def _term(c, factors: Sequence[str], sep: str) -> str:
     return f"{c}{sep}{body}"
 
 
-def _powers(w: Character, style: _Style) -> list[str]:
-    return [style.power(style.var("T", i), e) for i, e in enumerate(w.coeffs) if e]
+def _powers(exponents: Sequence[int], style: _Style) -> list[str]:
+    return [style.power(style.var("T", i), e) for i, e in enumerate(exponents) if e]
 
 
 # -- weights and monomials ----------------------------------------------------
@@ -105,7 +105,7 @@ def weight_latex(w: Character) -> str:
 
 
 def _monomial(w: Character, style: _Style) -> str:
-    return style.times.join(_powers(w, style)) or "1"
+    return style.times.join(_powers(w.coeffs, style)) or "1"
 
 
 def monomial_text(w: Character) -> str:
@@ -130,13 +130,14 @@ def monomial_latex(w: Character) -> str:
 # -- polynomials and rational expressions -----------------------------------
 
 
-def _poly_term(m: Monomial, c, style: _Style) -> str:
-    factors = [style.power("y", m.ypow)] if m.ypow else []
-    return _term(c, factors + _powers(m.char, style), style.times)
+def _poly_term(key: tuple[int, ...], c, style: _Style) -> str:
+    """The term ``c * y^key[0] * T^key[1:]`` of a flat exponent key."""
+    factors = [style.power("y", key[0])] if key[0] else []
+    return _term(c, factors + _powers(key[1:], style), style.times)
 
 
 def _poly(p: SparsePoly, style: _Style) -> str:
-    return signed_join(_poly_term(m, c, style) for m, c in p.sorted_terms())
+    return signed_join(_poly_term(key, c, style) for key, c in p.sorted_terms())
 
 
 def poly_text(p: SparsePoly) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import Character, Coeff, RatExpr, _add_into, _norm
 from .hirzebruch import LocalClass
@@ -141,30 +141,30 @@ def exp_ut(c: int, order: int) -> BiSeries:
     return BiSeries.make(terms, order)
 
 
-def _char_exponent(w: Character) -> int:
-    """The single exponent k of a diagonal character (T^w = T^k)."""
-    if w.arity != 1:
+def _char_exponent(w: Sequence[int]) -> int:
+    """The single exponent k of a diagonal character's entries (T^w = T^k)."""
+    if len(w) != 1:
         raise ValueError("series expansion expects a diagonalized (single-variable) expression")
-    return w.coeffs[0]
+    return w[0]
 
 
 def _csm_series(expr: RatExpr, order: int) -> BiSeries:
     """Expand ``expr`` (in T, y) under ``y = u - 1``, ``T = e^{-u t}``."""
     num = BiSeries.zero(order)
-    for mono, c in expr.num.sorted_terms():
-        k = _char_exponent(mono.char)
+    for (ypow, *char), c in expr.num.sorted_terms():
+        k = _char_exponent(char)
         part = exp_ut(-k, order).scaled(c)
         # (u - 1)^ypow, expanded exactly
-        if mono.ypow:
+        if ypow:
             u_poly = BiSeries.make(
-                {(i, 0): comb(mono.ypow, i) * (-1) ** (mono.ypow - i) for i in range(mono.ypow + 1)},
+                {(i, 0): comb(ypow, i) * (-1) ** (ypow - i) for i in range(ypow + 1)},
                 order,
             )
             part = part * u_poly
         num = num + part
     den = BiSeries.one(order)
     for w in expr.den:
-        k = _char_exponent(w)
+        k = _char_exponent(w.coeffs)
         den = den * (BiSeries.one(order) - exp_ut(-k, order))
     return num * den.inverse()
 
@@ -222,8 +222,8 @@ def multidegree(diag: RatExpr, *, y: Coeff = 0) -> tuple[Coeff, int]:
     zero sum has ``a_j = 0`` for all ``j < #terms`` (Vandermonde).
     """
     fixed = diag.subs_y(y)
-    terms = [(_char_exponent(mono.char), c) for mono, c in fixed.num.sorted_terms()]
-    scale = prod(_char_exponent(w) for w in fixed.den)
+    terms = [(_char_exponent(key[1:]), c) for key, c in fixed.num.sorted_terms()]
+    scale = prod(_char_exponent(w.coeffs) for w in fixed.den)
     for j in range(len(terms)):
         a = sum(Fraction(c) * (-k) ** j for k, c in terms)
         if a:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import Character, Monomial, RatExpr, SparsePoly, sample_points
+from .algebra import Character, RatExpr, SparsePoly, sample_points
 from .hirzebruch import PROJECTIVE_KINDS, affine_class, projective_class
 from .identities import chi_y, verify
 from .positivity import to_positive_form
@@ -163,11 +163,11 @@ def _genera(max_n: int, seed: int) -> tuple[bool, str]:
 def _random_poly(rng: random.Random, arity: int, nterms: int = 5) -> SparsePoly:
     items = []
     for _ in range(nterms):
-        char = Character(tuple(rng.randint(-2, 2) for _ in range(arity)))
-        mono = Monomial(char, rng.randint(0, 2))
+        char = tuple(rng.randint(-2, 2) for _ in range(arity))
+        key = (rng.randint(0, 2), *char)
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         if coeff:
-            items.append((mono, coeff))
+            items.append((key, coeff))
     return SparsePoly.from_terms(arity, items)
 
 

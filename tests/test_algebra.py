@@ -8,6 +8,7 @@ with the kernel.
 
 from fractions import Fraction
 import random
+from typing import NamedTuple
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,13 +19,14 @@ from eck.algebra import (
     Character,
     DenominatorVanishes,
     DivisionByZero,
-    Monomial,
     NotDivisible,
     RatExpr,
     SparsePoly,
+    _add_into,
     _norm,
     _over_one_minus,
     _times_binomial,
+    _times_two_monomials,
     hfactor_expr,
     hfactor_minus_one_expr,
     sample_points,
@@ -292,8 +294,8 @@ def test_ill_formed_map_rejected():
 def _random_poly(rng: random.Random, arity: int, nterms: int = 6) -> SparsePoly:
     items = []
     for _ in range(nterms):
-        char = Character(tuple(rng.randint(-2, 2) for _ in range(arity)))
-        items.append((Monomial(char, rng.randint(0, 2)), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+        char = tuple(rng.randint(-2, 2) for _ in range(arity))
+        items.append(((rng.randint(0, 2), *char), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
     return SparsePoly.from_terms(arity, items)
 
 
@@ -369,18 +371,98 @@ def test_reduce_preserves_equality_randomized():
         assert r.equivalent(e)
 
 
-# -- exactness of the cheaper exact primitives -----------------------------
+# -- the ring as it was on Monomial(Character, ypow) keys ----------------------
 #
-# The two copies below are the division and the reduction loop as they were
-# before lines were grouped on tuple keys and before reduced() skipped
-# attempts that cannot succeed; the new code must agree with them exactly.
+# A copy of the kernel before its terms were keyed on flat exponent tuples:
+# one Monomial object and one Character per term, Character arithmetic for
+# every product of monomials.  The flat-key ring must agree with it term for
+# term, in its str and in its NotDivisible messages.
 
 
-def _div_by_one_minus_before(p: SparsePoly, w: Character) -> SparsePoly:
-    j = next(i for i, a in enumerate(w.coeffs) if a)
+class _Monomial(NamedTuple):
+    char: Character
+    ypow: int
+
+
+def _old(p: SparsePoly) -> dict:
+    """The terms of ``p`` on Monomial keys, in the same order."""
+    return {_Monomial(Character(key[1:]), key[0]): c for key, c in p.terms.items()}
+
+
+def _flat_terms(terms: dict) -> dict:
+    """Monomial-keyed terms on flat ``(ypow, e_0, ..., e_m)`` keys, in the same order."""
+    return {(m.ypow,) + m.char.coeffs: c for m, c in terms.items()}
+
+
+def _old_add(a: dict, b: dict) -> dict:
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    acc = dict(large)
+    for m, c in small.items():
+        nc = acc.get(m, 0) + c
+        if nc:
+            acc[m] = _norm(nc)
+        else:
+            del acc[m]
+    return acc
+
+
+def _old_mul(a: dict, b: dict) -> dict:
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    acc: dict = {}
+    for m1, c1 in small.items():
+        ch1, y1 = m1
+        for m2, c2 in large.items():
+            m = _Monomial(ch1 + m2.char, y1 + m2.ypow)
+            nc = acc.get(m, 0) + c1 * c2
+            if nc:
+                acc[m] = nc
+            else:
+                del acc[m]
+    return {m: _norm(c) for m, c in acc.items()}
+
+
+def _old_shifted(a: dict, char: Character, ypow: int, coeff) -> dict:
+    if coeff == 0:
+        return {}
+    return {_Monomial(m.char + char, m.ypow + ypow): _norm(c * coeff) for m, c in a.items()}
+
+
+def _old_subs_y(a: dict, value) -> dict:
+    acc: dict = {}
+    for m, c in a.items():
+        nc = acc.get(m.char, 0) + c * Fraction(value) ** m.ypow
+        if nc:
+            acc[m.char] = nc
+        else:
+            acc.pop(m.char, None)
+    return {_Monomial(ch, 0): _norm(c) for ch, c in acc.items()}
+
+
+def _old_apply_map(a: dict, images) -> dict:
+    target = images[0].arity
+    acc: dict = {}
+    for m, c in a.items():
+        vec = [0] * target
+        for e, img in zip(m.char.coeffs, images):
+            if e:
+                for i, x in enumerate(img.coeffs):
+                    vec[i] += e * x
+        nm = _Monomial(Character(tuple(vec)), m.ypow)
+        nc = acc.get(nm, 0) + c
+        if nc:
+            acc[nm] = nc
+        else:
+            del acc[nm]
+    return {m: _norm(c) for m, c in acc.items()}
+
+
+def _old_div(a: dict, w: Character) -> dict:
+    """Exact division by ``1 - T^w``, line by line, as before lines were
+    grouped on tuple keys."""
+    j = next(i for i, x in enumerate(w.coeffs) if x)
     wj = w.coeffs[j]
     lines: dict = {}
-    for m, c in p.terms.items():
+    for m, c in a.items():
         k = m.char.coeffs[j] // wj
         rep = m.char - w.scaled(k)
         lines.setdefault((m.ypow, rep), {})[k] = c
@@ -391,10 +473,36 @@ def _div_by_one_minus_before(p: SparsePoly, w: Character) -> SparsePoly:
         for k in range(lo, hi):
             running += coeffs.get(k, 0)
             if running:
-                out[Monomial(rep + w.scaled(k), ypow)] = _norm(running)
+                out[_Monomial(rep + w.scaled(k), ypow)] = _norm(running)
         if running + coeffs[hi] != 0:
             raise NotDivisible(f"remainder on line {rep.coeffs} (y^{ypow})")
-    return SparsePoly(p.arity, out)
+    return out
+
+
+def _old_str(a: dict) -> str:
+    """``str`` as it was: terms sorted on ``(ypow, character entries)``."""
+    from eck.render import _TEXT, _term, signed_join
+
+    def term(m: _Monomial, c) -> str:
+        factors = [_TEXT.power("y", m.ypow)] if m.ypow else []
+        factors += [_TEXT.power(_TEXT.var("T", i), e) for i, e in enumerate(m.char.coeffs) if e]
+        return _term(c, factors, _TEXT.times)
+
+    return signed_join(term(m, c) for m, c in sorted(a.items(), key=lambda it: (it[0].ypow, it[0].char.coeffs)))
+
+
+def _agrees(got: SparsePoly, want: dict) -> bool:
+    """Same terms, same coefficient types (integral values as ints), same str."""
+    flat = _flat_terms(want)
+    types = {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in flat.items()}
+    return got.terms == flat and types and str(got) == _old_str(want)
+
+
+# -- exactness of the cheaper exact primitives -----------------------------
+#
+# The division above and the reduction loop below are as they were before
+# lines were grouped on tuple keys and before reduced() skipped attempts
+# that cannot succeed; the new code must agree with them exactly.
 
 
 def _greedy_reduced(e: RatExpr) -> RatExpr:
@@ -407,7 +515,7 @@ def _greedy_reduced(e: RatExpr) -> RatExpr:
         progress = False
         for w in sorted(set(den), key=lambda w: w.coeffs):
             try:
-                num = _div_by_one_minus_before(num, w)
+                num = SparsePoly(num.arity, _flat_terms(_old_div(_old(num), w)))
             except NotDivisible:
                 continue
             den.remove(w)
@@ -485,7 +593,7 @@ def _polys(draw, arity: int):
             max_size=8,
         )
     )
-    return SparsePoly.from_terms(arity, [(Monomial(Character(e), k), c) for e, k, c in items])
+    return SparsePoly.from_terms(arity, [((k, *e), c) for e, k, c in items])
 
 
 @st.composite
@@ -511,19 +619,60 @@ def test_div_by_one_minus_agrees_with_the_line_by_line_division(pw, multiple):
     if multiple:
         p = p.mul_one_minus(w)
     try:
-        want = _div_by_one_minus_before(p, w)
+        want = _old_div(_old(p), w)
     except NotDivisible as exc:
         with pytest.raises(NotDivisible) as got:
             p.div_by_one_minus(w)
         assert str(got.value) == str(exc)
     else:
         got = p.div_by_one_minus(w)
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert list(got.terms.items()) == list(_flat_terms(want).items()) and _agrees(got, want)
 
 
 def test_not_divisible_message_is_unchanged():
     with pytest.raises(NotDivisible, match=r"^remainder on line \(0,\) \(y\^0\)$"):
         (1 - mono(1)).div_by_one_minus(Character((2,)))
+
+
+@st.composite
+def _oracle_case(draw):
+    """Two polynomials over a lattice of rank 1..3, a nonzero weight, a
+    monomial to shift by, images of the basis in a lattice of rank 1..3 and
+    a value for y."""
+    arity = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    a, b = draw(_polys(arity)), draw(_polys(arity))
+    w = Character(draw(st.tuples(*[_exponent] * arity).filter(any)))
+    shift = (
+        Character(draw(st.tuples(*[_exponent] * arity))),
+        draw(st.integers(0, 2)),
+        draw(st.fractions(-5, 5, max_denominator=4)),
+    )
+    images = [Character(draw(st.tuples(*[st.integers(-2, 2)] * target))) for _ in range(arity)]
+    return a, b, w, shift, images, draw(st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_case())
+def test_flat_keys_agree_with_the_monomial_keyed_ring(case):
+    """Every ring operation gives the terms and the ``str`` of the copy on
+    Monomial keys (for division, see the line-by-line division test)."""
+    a, b, w, (char, ypow, coeff), images, value = case
+    old_a, old_b = _old(a), _old(b)
+    assert _agrees(a + b, _old_add(old_a, old_b))
+    assert _agrees(a * b, _old_mul(old_a, old_b))
+    assert _agrees(a.shifted(char, ypow, coeff), _old_shifted(old_a, char, ypow, coeff))
+    assert _agrees(a.mul_one_minus(w), _old_add(old_a, _old_shifted(old_a, w, 0, -1)))
+    assert _agrees(a.subs_y(value), _old_subs_y(old_a, value))
+    assert _agrees(a.apply_map(images), _old_apply_map(old_a, images))
+
+
+def test_add_into_adds_nothing_for_a_zero_under_an_absent_key():
+    """A shift-and-add step that cancels leaves a zero coefficient; adding
+    it under a key the total lacks leaves the total unchanged."""
+    total = {(0, 1): 1}
+    _add_into(total, _times_two_monomials({(0, 0): 1}, None, (0, 0), -1))
+    assert total == {(0, 1): 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -610,9 +759,9 @@ def test_subs_y_substitutes_term_by_term(p, value):
     """``subs_y`` computes each power of the value once; the result is the
     sum of ``c * value^k`` over the terms, collected by character."""
     want: dict = {}
-    for m, c in p.terms.items():
-        want[m.char] = want.get(m.char, 0) + c * value**m.ypow
-    assert p.subs_y(value) == SparsePoly.from_terms(p.arity, [(Monomial(ch, 0), c) for ch, c in want.items()])
+    for (ypow, *e), c in p.terms.items():
+        want[(0, *e)] = want.get((0, *e), 0) + c * value**ypow
+    assert p.subs_y(value) == SparsePoly.from_terms(p.arity, want.items())
 
 
 @st.composite

@@ -356,13 +356,13 @@ def test_pushforward_is_the_direct_cone_complement_class(n):
 def test_restriction_over_the_tangent_weights_is_the_value(kind, n):
     """``g_i / x_i^{n-1}`` over ``prod (1 - T^w)`` (tangent weights w at p_i)
     gives back the value at p_i."""
-    from eck.algebra import _from_flat
     from eck.hirzebruch import _restriction
 
     cls = projective_class(kind, n)
     geo = cls.geometry
     for i in geo.indices:
-        lowered = _from_flat(geo.arity, _restriction(cls, i)).shifted(geo.proj_weight(i).scaled(1 - n))
+        restricted = SparsePoly.from_terms(geo.arity, _restriction(cls, i).items())
+        lowered = restricted.shifted(geo.proj_weight(i).scaled(1 - n))
         assert RatExpr(lowered, geo.tangent_weights(i)).equivalent(cls.values[i]), (kind, n, i)
 
 
@@ -536,12 +536,23 @@ def test_cold_builds_equal_cached_classes():
             _assert_same_terms(value, sum_of_products(cached.geometry.arity, recipes[point]))
 
 
-def test_cached_values_share_characters():
-    seen: dict[Character, Character] = {}
-    for cls in (projective_class("Q", 5), projective_class("Xc", 5), affine_class("CQ", 5)):
+def test_cached_values_share_keys():
+    """Equal flat keys and denominator characters across the values of the
+    cached classes are one object, Q and X at n = 5 have keys in common, and
+    clearing the cache empties the interning table."""
+    from eck import hirzebruch
+
+    seen: dict = {}
+    keys = {}
+    for cls in (projective_class("Q", 5), projective_class("X", 5), projective_class("Xc", 5), affine_class("CQ", 5)):
+        keys[cls.space] = {key for value in _points(cls).values() for key in value.num.terms}
         for value in _points(cls).values():
-            for w in [m.char for m in value.num.terms] + list(value.den):
-                assert seen.setdefault(w, w) is w
+            for key in list(value.num.terms) + list(value.den):
+                assert seen.setdefault(key, key) is key
+    assert keys["Q"] & keys["X"]
+    assert hirzebruch._INTERNED
+    projective_class.cache_clear()
+    assert not hirzebruch._INTERNED
 
 
 def _table_json(capsys) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eck.algebra import Character, Monomial, RatExpr, SparsePoly
+from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import affine_class, projective_class
 from eck.identities import verify
 from eck.positivity import SPolynomial, certify, check_nonnegative, to_positive_form
@@ -70,10 +70,10 @@ def test_rational_strings_with_fractions_and_repeated_factors():
     num = SparsePoly.from_terms(
         2,
         [
-            (Monomial(Character((0, 0)), 0), Fraction(5, 3)),
-            (Monomial(Character((2, 1)), 0), 3),
-            (Monomial(Character((0, 0)), 1), -1),
-            (Monomial(Character((0, -1)), 2), Fraction(-1, 2)),
+            ((0, 0, 0), Fraction(5, 3)),
+            ((0, 2, 1), 3),
+            ((1, 0, 0), -1),
+            ((2, 0, -1), Fraction(-1, 2)),
         ],
     )
     e = RatExpr(num, (Character((1, 0)), Character((0, 1)), Character((1, 0))))

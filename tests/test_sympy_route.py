@@ -44,7 +44,7 @@ def _recipe(ts, recipe):
 
 def _value(ts, value):
     terms = value.num.terms.items()
-    num = sum((_rational(c) * _tpow(ts, m.char.coeffs) * Y**m.ypow for m, c in terms), sympy.Integer(0))
+    num = sum((_rational(c) * _tpow(ts, key[1:]) * Y ** key[0] for key, c in terms), sympy.Integer(0))
     return num / sympy.Mul(*(1 - _tpow(ts, w.coeffs) for w in value.den))
 
 
