@@ -165,171 +165,115 @@ def _build_parser() -> _Parser:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each takes the run's config and one n (None for ``table``) and returns
+# (rows, failed): the output lines for text or LaTeX, or the JSON result dicts.
+# ``run`` loops over the n range and writes the rows.
 
 
-def _cmd_compute(config: RunConfig) -> tuple[list[str], list, bool]:
-    lines: list[str] = []
-    results: list = []
-    for n in range(config.n_lo, config.n_hi + 1):
-        try:
-            if config.kind in PROJECTIVE_KINDS:
-                cls = projective_class(config.kind, n)
-            else:
-                cls = affine_class(config.kind, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if cls.is_projective:
-            entries = [(f"p_{i}", cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
-        else:
-            entries = [("origin", cls.at_origin, cls.recipes)]
-        if config.format == "text":
-            lines.append(f"{config.kind}_{n}:")
-            for label, value, recipe in entries:
-                shown = str(value) if config.expand else recipe_text(recipe)
-                lines.append(f"  {label}: {shown}")
-        elif config.format == "latex":
-            for label, value, recipe in entries:
-                shown = ratexpr_latex(value) if config.expand else recipe_latex(recipe)
-                lines.append(rf"\mathrm{{td}}_y({config.kind}_{{{n}}})\big|_{{{label}}} = {shown} \\")
-        else:
-            results.append(
-                {
-                    "kind": config.kind,
-                    "n": n,
-                    "values": [
-                        {"point": label, "recipe": recipe_text(recipe), **ratexpr_dict(value)}
-                        for label, value, recipe in entries
-                    ],
-                }
-            )
-    return lines, results, False
+def _cmd_compute(config: RunConfig, n: int) -> tuple[list, bool]:
+    if config.kind in PROJECTIVE_KINDS:
+        cls = projective_class(config.kind, n)
+    else:
+        cls = affine_class(config.kind, n)
+    if cls.is_projective:
+        entries = [(f"p_{i}", cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
+    else:
+        entries = [("origin", cls.at_origin, cls.recipes)]
+    if config.format == "json":
+        values = [
+            {"point": label, "recipe": recipe_text(recipe), **ratexpr_dict(value)} for label, value, recipe in entries
+        ]
+        return [{"kind": config.kind, "n": n, "values": values}], False
+    if config.format == "latex":
+        return [
+            rf"\mathrm{{td}}_y({config.kind}_{{{n}}})\big|_{{{label}}} = "
+            + (ratexpr_latex(value) if config.expand else recipe_latex(recipe))
+            + r" \\"
+            for label, value, recipe in entries
+        ], False
+    return [f"{config.kind}_{n}:"] + [
+        f"  {label}: {value if config.expand else recipe_text(recipe)}" for label, value, recipe in entries
+    ], False
 
 
-def _cmd_verify(config: RunConfig) -> tuple[list[str], list, bool]:
-    lines: list[str] = []
-    results: list = []
-    failed = False
-    for n in range(config.n_lo, config.n_hi + 1):
-        if config.formula == "remark_k" and config.k is None:
-            ks = list(range(max(1, n // 2)))
-        else:
-            ks = [config.k]
-        for k in ks:
-            try:
-                report = verify(config.formula, n, k=k, seed=config.seed)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            failed = failed or not report.verified
-            if config.format == "json":
-                results.append(report_dict(report, timings=config.timings))
-                continue
-            status = "ok" if report.verified else "FAILED"
-            ktag = f" k={report.k}" if report.k is not None else ""
-            npoints = len(report.per_point)
-            line = f"{config.formula} n={n}{ktag}: {status} ({npoints} checks)"
-            if config.timings:
-                line += f" [{report.timing_ms:.1f} ms]"
-            if report.note:
-                line += f" — {report.note}"
-            if not report.verified:
-                bad = ", ".join(label for label, ok in report.per_point if not ok)
-                line += f"; failed at {bad}"
-            if config.format == "latex":
-                if not report.verified and report.note:
-                    status += f" --- {latex_escape(report.note)}"
-                name = latex_escape(config.formula)
-                line = rf"\texttt{{{name}}} & {n} & {report.k if report.k is not None else ''} & {status} \\"
-            lines.append(line)
-    return lines, results, failed
-
-
-def _cmd_certify(config: RunConfig) -> tuple[list[str], list, bool]:
-    lines: list[str] = []
-    results: list = []
-    failed = False
-    for n in range(config.n_lo, config.n_hi + 1):
-        try:
-            cert = certify(config.kind, n, seed=config.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        good = cert.nonnegative and cert.roundtrip_ok
-        failed = failed or not good
-        if config.format == "json":
-            results.append(certificate_dict(cert))
-            continue
-        nterms = len(cert.spoly.terms)
-        if good:
-            msg = f"{config.kind}_{n}: nonnegative ({nterms} terms), round trip exact"
-        else:
-            parts = []
-            if not cert.nonnegative:
-                key, coeff = cert.witness
-                parts.append(f"negative coefficient {coeff} at exponents {key}")
-            if not cert.roundtrip_ok:
-                parts.append(f"round trip failed: back-substitution {cert.roundtrip_note}")
-            msg = f"{config.kind}_{n}: " + "; ".join(parts)
+def _cmd_verify(config: RunConfig, n: int) -> tuple[list, bool]:
+    ks = range(max(1, n // 2)) if config.formula == "remark_k" and config.k is None else [config.k]
+    reports = [verify(config.formula, n, k=k, seed=config.seed) for k in ks]
+    failed = not all(report.verified for report in reports)
+    if config.format == "json":
+        return [report_dict(report, timings=config.timings) for report in reports], failed
+    rows = []
+    for report in reports:
+        status = "ok" if report.verified else "FAILED"
         if config.format == "latex":
-            body = spoly_latex(cert.spoly) if good and n == config.n_lo == config.n_hi else msg
-            msg = rf"{config.kind}_{{{n}}}: {body} \\"
-        lines.append(msg)
-    return lines, results, failed
+            if not report.verified and report.note:
+                status += f" --- {latex_escape(report.note)}"
+            k = report.k if report.k is not None else ""
+            rows.append(rf"\texttt{{{latex_escape(config.formula)}}} & {n} & {k} & {status} \\")
+            continue
+        ktag = f" k={report.k}" if report.k is not None else ""
+        line = f"{config.formula} n={n}{ktag}: {status} ({len(report.per_point)} checks)"
+        if config.timings:
+            line += f" [{report.timing_ms:.1f} ms]"
+        if report.note:
+            line += f" — {report.note}"
+        if not report.verified:
+            line += "; failed at " + ", ".join(label for label, ok in report.per_point if not ok)
+        rows.append(line)
+    return rows, failed
 
 
-def _cmd_csm(config: RunConfig) -> tuple[list[str], list, bool]:
-    lines: list[str] = []
-    results: list = []
-    single = config.n_lo == config.n_hi
-    for n in range(config.n_lo, config.n_hi + 1):
-        try:
-            coeffs = csm(diagonalize(affine_class(config.space, n)), n, order=config.order)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if config.format == "text":
-            poly = tpoly_text(coeffs)
-            lines.append(poly if single else f"n={n}: {poly}")
-        elif config.format == "latex":
-            body = tpoly_latex(coeffs)
-            prefix = rf"c_{{SM}}(\mathrm{{{config.space}}}_{{{n}}}) = "
-            lines.append(prefix + body + r" \\")
-        else:
-            results.append(
-                {
-                    "n": n,
-                    "space": config.space,
-                    "coefficients": list(coeffs),
-                    "polynomial": tpoly_text(coeffs),
-                }
-            )
-    return lines, results, False
+def _cmd_certify(config: RunConfig, n: int) -> tuple[list, bool]:
+    cert = certify(config.kind, n, seed=config.seed)
+    good = cert.nonnegative and cert.roundtrip_ok
+    if config.format == "json":
+        return [certificate_dict(cert)], not good
+    if good:
+        msg = f"{config.kind}_{n}: nonnegative ({len(cert.spoly.terms)} terms), round trip exact"
+    else:
+        parts = []
+        if not cert.nonnegative:
+            key, coeff = cert.witness
+            parts.append(f"negative coefficient {coeff} at exponents {key}")
+        if not cert.roundtrip_ok:
+            parts.append(f"round trip failed: back-substitution {cert.roundtrip_note}")
+        msg = f"{config.kind}_{n}: " + "; ".join(parts)
+    if config.format == "latex":
+        body = spoly_latex(cert.spoly) if good and n == config.n_lo == config.n_hi else msg
+        msg = rf"{config.kind}_{{{n}}}: {body} \\"
+    return [msg], not good
 
 
-def _cmd_table(config: RunConfig) -> tuple[list[str], list, bool]:
-    lines: list[str] = []
-    results: list = []
+def _cmd_csm(config: RunConfig, n: int) -> tuple[list, bool]:
+    coeffs = csm(diagonalize(affine_class(config.space, n)), n, order=config.order)
+    if config.format == "json":
+        return [{"n": n, "space": config.space, "coefficients": list(coeffs), "polynomial": tpoly_text(coeffs)}], False
+    if config.format == "latex":
+        return [rf"c_{{SM}}(\mathrm{{{config.space}}}_{{{n}}}) = {tpoly_latex(coeffs)} \\"], False
+    poly = tpoly_text(coeffs)
+    return [poly if config.n_lo == config.n_hi else f"n={n}: {poly}"], False
+
+
+def _cmd_table(config: RunConfig, n: None) -> tuple[list, bool]:
+    """The whole acceptance suite; it takes no n and runs once."""
     outcomes = run_all(max_n=config.max_n, seed=config.seed)
     failed = any(not r.passed for r in outcomes)
+    if config.format == "json":
+        keys = ("number", "name", "passed", "detail") + (("timing_ms",) if config.timings else ())
+        return [{key: getattr(r, key) for key in keys} for r in outcomes], failed
+    rows = []
     for r in outcomes:
-        if config.format == "json":
-            entry = {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-            if config.timings:
-                entry["timing_ms"] = r.timing_ms
-            results.append(entry)
-            continue
         status = "PASS" if r.passed else "FAIL"
         if config.format == "latex":
             if not r.passed:
                 status += f" --- {latex_escape(r.detail)}"
-            lines.append(rf"{r.number} & \texttt{{{latex_escape(r.name)}}} & {status} \\")
-        else:
-            line = f"[{status}] {r.number:2d} {r.name}"
-            if config.timings:
-                line += f" ({r.timing_ms:.0f} ms)"
-            line += f" — {r.detail}"
-            lines.append(line)
+            rows.append(rf"{r.number} & \texttt{{{latex_escape(r.name)}}} & {status} \\")
+            continue
+        timing = f" ({r.timing_ms:.0f} ms)" if config.timings else ""
+        rows.append(f"[{status}] {r.number:2d} {r.name}{timing} — {r.detail}")
     if config.format == "text":
-        good = sum(1 for r in outcomes if r.passed)
-        lines.append(f"{good}/{len(outcomes)} criteria passed")
-    return lines, results, failed
+        rows.append(f"{sum(r.passed for r in outcomes)}/{len(outcomes)} criteria passed")
+    return rows, failed
 
 
 _COMMANDS = {
@@ -345,29 +289,17 @@ _MIN_N = {"compute": 0, "verify": 2, "certify": 2, "csm": 2}
 
 def _config_from(args) -> RunConfig:
     bound = _bound()
+    values = vars(args)
     n_lo = n_hi = None
-    if getattr(args, "n", None) is not None:
+    if values.get("n") is not None:
         n_lo, n_hi = _parse_range(args.n, _MIN_N[args.command], bound)
-    max_n = getattr(args, "max_n", 8)
+    max_n = values.get("max_n", 8)
     if args.command == "table" and max_n > bound:
         raise UsageError(f"--max-n {max_n} exceeds the bound {bound} (raise ECK_MAX_N to allow it)")
     if max_n < 2:
         raise UsageError("--max-n must be at least 2")
-    return RunConfig(
-        command=args.command,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        kind=getattr(args, "kind", None),
-        formula=getattr(args, "formula", None),
-        k=getattr(args, "k", None),
-        space=getattr(args, "space", None),
-        order=getattr(args, "order", None),
-        format=args.format,
-        max_n=max_n,
-        seed=args.seed,
-        timings=getattr(args, "timings", False),
-        expand=getattr(args, "expand", False),
-    )
+    fields = {name: values[name] for name in RunConfig.__dataclass_fields__ if name in values}
+    return RunConfig(**fields, n_lo=n_lo, n_hi=n_hi)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -376,7 +308,18 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from(args)
-        lines, results, failed = _COMMANDS[args.command](config)
+        command = _COMMANDS[config.command]
+        if config.n_lo is None:  # table: no n range, one run
+            rows, failed = command(config, None)
+        else:
+            rows, failed = [], False
+            for n in range(config.n_lo, config.n_hi + 1):
+                try:
+                    got, bad = command(config, n)
+                except ValueError as exc:  # the library rejected this n
+                    raise UsageError(str(exc)) from None
+                rows += got
+                failed = failed or bad
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -388,20 +331,19 @@ def run(argv: list[str] | None = None) -> int:
         payload = {
             "command": config.command,
             "params": config.params(),
-            "results": results,
+            "results": rows,
             "version": __version__,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(lines) + "\n" if lines else ""
+        text = "\n".join(rows) + "\n" if rows else ""
 
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -95,36 +95,8 @@ def weight_text(w: Character) -> str:
     return _weight(w, _TEXT)
 
 
-def weight_latex(w: Character) -> str:
-    """LaTeX additive form, subscripted variables.
-
-    >>> weight_latex(Character((1, 0, -1)))
-    't-t_{2}'
-    """
-    return _weight(w, _LATEX)
-
-
 def _monomial(w: Character, style: _Style) -> str:
     return style.times.join(_powers(w.coeffs, style)) or "1"
-
-
-def monomial_text(w: Character) -> str:
-    """Multiplicative form ``T^w`` in the T-variables.
-
-    >>> monomial_text(Character((1, -1)))
-    'T*T1^-1'
-    >>> monomial_text(Character((0, 0)))
-    '1'
-    """
-    return _monomial(w, _TEXT)
-
-
-def monomial_latex(w: Character) -> str:
-    """
-    >>> monomial_latex(Character((2, -1)))
-    'T^{2} T_{1}^{-1}'
-    """
-    return _monomial(w, _LATEX)
 
 
 # -- polynomials and rational expressions -----------------------------------
@@ -144,11 +116,6 @@ def poly_text(p: SparsePoly) -> str:
     """A sparse Laurent polynomial in y and the T-variables, terms in the
     kernel's canonical order; this is ``str(p)``."""
     return _poly(p, _TEXT)
-
-
-def poly_latex(p: SparsePoly) -> str:
-    """LaTeX form of a sparse Laurent polynomial in y and the T-variables."""
-    return _poly(p, _LATEX)
 
 
 def _den(den: Sequence[Character], style: _Style) -> str:
@@ -179,17 +146,6 @@ def ratexpr_latex(e: RatExpr) -> str:
 def ratexpr_dict(e: RatExpr) -> dict:
     """JSON-ready form: numerator string plus denominator weight list."""
     return {"num": poly_text(e.num), "den": [weight_text(w) for w in e.den]}
-
-
-def ypoly_text(p: SparsePoly) -> str:
-    """A y-only polynomial, e.g. a chi_y genus.
-
-    >>> ypoly_text(SparsePoly.constant(1, 1) - SparsePoly.y_power(1))
-    '1 - y'
-    """
-    if not p.is_y_only():
-        raise ValueError("polynomial still depends on T-variables")
-    return poly_text(p)
 
 
 def _tpoly(coeffs: Sequence[int], style: _Style) -> str:

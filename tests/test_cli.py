@@ -75,6 +75,15 @@ def test_usage_errors_are_one_line(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_usage_error_inside_the_range_prints_no_rows(capsys):
+    """n = 2 and 3 succeed at order 5, n = 4 needs order 6: the whole run is
+    a usage error, and the rows already made for n = 2 and 3 are dropped."""
+    assert run(["csm", "--n", "2..4", "--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation order 5 < n + 2 = 6\n"
+
+
 def test_dimension_cap(capsys, monkeypatch):
     monkeypatch.delenv("ECK_MAX_N", raising=False)
     assert run(["compute", "--kind", "P", "--n", "9"]) == 2
@@ -212,7 +221,7 @@ def test_table_runs_are_byte_identical(capsys):
     ],
 )
 def test_internal_errors_are_one_line(capsys, monkeypatch, error):
-    def broken(config):
+    def broken(config, n):
         raise error("remainder on line (0,) (y^0)")
 
     monkeypatch.setitem(cli._COMMANDS, "compute", broken)

@@ -2,17 +2,15 @@
 
 from fractions import Fraction
 
-import pytest
-
 from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import affine_class, projective_class
 from eck.identities import verify
 from eck.positivity import SPolynomial, certify, check_nonnegative, to_positive_form
 from eck.render import (
+    _LATEX,
+    _TEXT,
+    _monomial,
     certificate_dict,
-    monomial_latex,
-    monomial_text,
-    poly_latex,
     ratexpr_dict,
     ratexpr_latex,
     recipe_latex,
@@ -21,9 +19,7 @@ from eck.render import (
     spoly_text,
     tpoly_latex,
     tpoly_text,
-    weight_latex,
     weight_text,
-    ypoly_text,
 )
 
 
@@ -32,14 +28,14 @@ def test_weight_strings():
     assert weight_text(Character((1, -1))) == "t-t1"
     assert weight_text(Character((0, 2))) == "2t1"
     assert weight_text(Character((0, -1, 1))) == "-t1+t2"
-    assert weight_latex(Character((1, 0, -1))) == "t-t_{2}"
 
 
 def test_monomial_strings():
-    assert monomial_text(Character((1, -1))) == "T*T1^-1"
-    assert monomial_text(Character((0, 0))) == "1"
-    assert monomial_text(Character((0, 2))) == "T1^2"
-    assert monomial_latex(Character((2, -1))) == "T^{2} T_{1}^{-1}"
+    """The ``T^w`` of denominator factors and h-factors, in both styles."""
+    assert _monomial(Character((1, -1)), _TEXT) == "T*T1^-1"
+    assert _monomial(Character((0, 0)), _TEXT) == "1"
+    assert _monomial(Character((0, 2)), _TEXT) == "T1^2"
+    assert _monomial(Character((2, -1)), _LATEX) == "T^{2} T_{1}^{-1}"
 
 
 def test_t_polynomial_strings():
@@ -49,19 +45,11 @@ def test_t_polynomial_strings():
     assert tpoly_latex((1, 2, 2, 0, 1)) == "1 + 2t + 2t^{2} + t^{4}"
 
 
-def test_y_polynomial_guard():
-    p = SparsePoly.monomial(Character((1,)), 0, 1)
-    with pytest.raises(ValueError):
-        ypoly_text(p)
-    assert ypoly_text(SparsePoly.constant(1, 1) - SparsePoly.y_power(1)) == "1 - y"
-
-
 def test_rational_strings():
     cstar = affine_class("Cstar", 1).at_origin
     assert str(cstar) == "(T + y*T) / (1 - T)"
     assert ratexpr_latex(cstar) == r"\frac{T + y T}{\left(1 - T\right)}"
     assert ratexpr_dict(cstar) == {"num": "T + y*T", "den": ["t"]}
-    assert poly_latex(cstar.num) == "T + y T"
 
 
 def test_rational_strings_with_fractions_and_repeated_factors():
