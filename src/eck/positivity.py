@@ -45,6 +45,7 @@ from .algebra import (
     RatExpr,
     SparsePoly,
     _add_into,
+    _norm,
     _shifted,
     _times_binomial,
     _times_two_monomials,
@@ -111,7 +112,7 @@ class SPolynomial:
                 got = powers[(i, e)] = base**e
             return got
 
-        num = SparsePoly.zero(arity)
+        num: Flat = {}
         for key, c in self.terms.items():
             part = SparsePoly.constant(arity, c)
             if key[0]:
@@ -119,10 +120,9 @@ class SPolynomial:
             for i, e in enumerate(key[1:]):
                 if e:
                     part = part * power(i, e)
-            num = num + part
-        if len(self.den) % 2:
-            num = -num
-        return RatExpr(num, self.den)
+            _add_into(num, part.terms)
+        sign = -1 if len(self.den) % 2 else 1
+        return RatExpr(SparsePoly(arity, {k: _norm(sign * c) for k, c in num.items()}), self.den)
 
     def to_ratexpr_horner(self, arity: int) -> RatExpr:
         """The back-substitution of :meth:`to_ratexpr`, nested by Horner's
