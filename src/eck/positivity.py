@@ -280,7 +280,9 @@ def product_of_weights_minus_one(weights: tuple[Character, ...], combo: Mapping[
 def cq_step_correction(n: int) -> SPolynomial:
     """The displayed correction term of the CQ recursion,
     ``delta (S_t^2 + 2 S_t) / (S_{t+t_m} S_{t-t_m})``, in the single
-    S-variable S_t (equal to -(1+y)(T^2-1) over the same denominator).
+    S-variable S_t (equal to -(1+y)(T^2-1) over the same denominator).  No
+    runtime code calls it: it is the displayed form that the tests check
+    the recursion's correction (``_times_correction``) against.
 
     >>> print(cq_step_correction(4))
     (2*delta*S(t) + delta*S(t)^2) / S(t+t2) S(t-t2)
