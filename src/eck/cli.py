@@ -175,8 +175,9 @@ def _cmd_compute(config: RunConfig, n: int) -> tuple[list, bool]:
         cls = projective_class(config.kind, n)
     else:
         cls = affine_class(config.kind, n)
+    point = "p_{{{}}}" if config.format == "latex" else "p_{}"  # LaTeX braces a negative index
     if cls.is_projective:
-        entries = [(f"p_{i}", cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
+        entries = [(point.format(i), cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
     else:
         entries = [("origin", cls.at_origin, cls.recipes)]
     if config.format == "json":

@@ -143,6 +143,10 @@ def test_compute_latex_forms(capsys):
     expanded = capsys.readouterr().out
     assert "\\frac" in expanded
 
+    assert run(["compute", "--kind", "P", "--n", "2", "--format", "latex"]) == 0
+    labels = capsys.readouterr().out
+    assert "\\big|_{p_{-1}} = " in labels and "\\big|_{p_{1}} = " in labels
+
 
 def test_compute_json_lists_every_point(capsys):
     assert run(["compute", "--kind", "Qc", "--n", "3", "--format", "json"]) == 0
