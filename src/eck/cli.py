@@ -292,7 +292,7 @@ def _config_from(args) -> RunConfig:
     bound = _bound()
     values = vars(args)
     n_lo = n_hi = None
-    if values.get("n") is not None:
+    if "n" in values:
         n_lo, n_hi = _parse_range(args.n, _MIN_N[args.command], bound)
     max_n = values.get("max_n", 8)
     if args.command == "table" and max_n > bound:
