@@ -518,36 +518,34 @@ def _add_into(total: dict, f: Mapping) -> None:
             total.pop(k, None)
 
 
-def _over_one_minus(f: dict[int, Coeff], step: int, top: int) -> dict[int, Coeff] | None:
+def _over_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff] | None:
     """Exact quotient of a packed polynomial by ``1 - z^a`` (``a = step``,
     either sign) by prefix sums per residue class mod ``|a|``, or None when a
-    remainder is left or a quotient key would pass ``top``.  For ``a < 0``,
-    ``1 - z^a = -z^a (1 - z^-a)``: the sums are bounded by ``top + a``,
-    shifted by ``-a`` and negated.
+    remainder is left.  For ``a < 0``, ``1 - z^a = -z^a (1 - z^-a)``: the
+    sums are shifted by ``-a`` and negated.  An exact quotient in
+    ``Z[z^+-1]`` is unique, so none is refused.
 
-    >>> _over_one_minus({0: 1, 2: -1}, 1, 1)
+    >>> _over_one_minus({0: 1, 2: -1}, 1)
     {0: 1, 1: 1}
-    >>> _over_one_minus({0: 1, 2: -1}, -1, 2)
+    >>> _over_one_minus({0: 1, 2: -1}, -1)
     {1: -1, 2: -1}
     """
     size = abs(step)
     shift = 0 if step > 0 else size
-    last = top + size - shift
     lines: dict[int, list[int]] = {}
     for key in sorted(f):
         lines.setdefault(key % size, []).append(key)
     out: dict[int, Coeff] = {}
     for keys in lines.values():
+        if sum(map(f.__getitem__, keys)):
+            return None
         running: Coeff = 0
-        for j, key in enumerate(keys):
+        for key, after in zip(keys, keys[1:]):
             running += f[key]
-            if not running:
-                continue
-            if j + 1 == len(keys) or keys[j + 1] > last:
-                return None
-            c = -running if shift else running
-            for k in range(key + shift, keys[j + 1] + shift, size):
-                out[k] = c
+            if running:
+                c = -running if shift else running
+                for k in range(key + shift, after + shift, size):
+                    out[k] = c
     return out
 
 
@@ -607,7 +605,7 @@ class RatExpr:
     ``1/(1 - T^w) = -T^{-w}/(1 - T^{-w})`` moves any flip into the numerator,
     so the canonical form represents the same rational function.
 
-    >>> h = hfactor_expr(Character((1,)))
+    >>> h = RatExpr(SparsePoly.from_terms(1, [((0, 0), 1), ((1, 1), 1)]), (Character((1,)),))
     >>> h
     (1 + y*T) / (1 - T)
     >>> (h - 1).reduced()
@@ -808,22 +806,3 @@ class RatExpr:
         return ratexpr_text(self)
 
     __repr__ = __str__
-
-
-def hfactor_expr(w: Character) -> RatExpr:
-    """The multiplicative factor ``(1 + y T^w) / (1 - T^w)`` of a tangent
-    weight ``w`` (must be nonzero).  No runtime code calls it: it is the
-    independent reference that the tests check class assembly against."""
-    if w.is_zero():
-        raise DivisionByZero("h-factor of the zero weight")
-    num = SparsePoly.from_terms(w.arity, [((1,) + w.coeffs, 1), ((0,) * (w.arity + 1), 1)])
-    return RatExpr(num, (w,))
-
-
-def hfactor_minus_one_expr(w: Character) -> RatExpr:
-    """``h(T^w) - 1 = (1 + y) T^w / (1 - T^w)``, the factor of a punctured
-    line C*; like :func:`hfactor_expr`, a reference for the tests only."""
-    if w.is_zero():
-        raise DivisionByZero("h-factor of the zero weight")
-    num = SparsePoly.from_terms(w.arity, [((1,) + w.coeffs, 1), ((0,) + w.coeffs, 1)])
-    return RatExpr(num, (w,))

@@ -396,22 +396,13 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 affine_class.cache_clear = _cache_clear(_build_affine)
 
 
-def _restriction(cls: LocalClass, i: int) -> Flat:
-    """``g_i = values[i] * prod_{j != i} (x_i - x_j)`` with ``x_j = T^{t_j}``,
-    on flat exponent keys: the class restricted to ``p_i`` (the value times
-    ``prod (1 - T^w)`` over the tangent weights ``w``) times ``x_i^{n-1}``.
-
-    With ``w = t_j - t_i``, ``x_i - x_j = x_i (1 - T^w) = -x_j (1 - T^{-w})``.
-    Each factor ``1 - T^v`` of the value's (sign-canonical) denominator is
-    taken by the one ``j`` with ``v = w``, which leaves the monomial ``x_i``,
-    or ``v = -w``, which leaves ``-x_j``; every other ``j`` multiplies by
-    ``x_i - x_j``.  Nothing is divided.  A denominator factor that no tangent
-    weight takes raises ValueError naming the point.
-    """
+def _restriction_factors(cls: LocalClass, i: int) -> tuple[Character, int, list[Character]]:
+    """``(shift, sign, others)`` with ``g_i = sign * T^shift * num_i *
+    prod_{t_j in others} (x_i - x_j)``, ``num_i`` the numerator of
+    ``values[i]``, for the ``g_i`` of :func:`_restriction`."""
     geo = cls.geometry
     ti = geo.proj_weight(i)
-    value = cls.values[i]
-    den = Counter(value.den)
+    den = Counter(cls.values[i].den)
     shift, sign, others = Character.zero(geo.arity), 1, []
     for j in geo.indices:
         if j == i:
@@ -432,9 +423,27 @@ def _restriction(cls: LocalClass, i: int) -> Flat:
             f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(next(iter(left)))}) "
             f"is not a tangent weight of P^{geo.n - 1} there"
         )
-    acc = value.num.terms
+    return shift, sign, others
+
+
+def _restriction(cls: LocalClass, i: int) -> Flat:
+    """``g_i = values[i] * prod_{j != i} (x_i - x_j)`` with ``x_j = T^{t_j}``,
+    on flat exponent keys: the class restricted to ``p_i`` (the value times
+    ``prod (1 - T^w)`` over the tangent weights ``w``) times ``x_i^{n-1}``.
+
+    With ``w = t_j - t_i``, ``x_i - x_j = x_i (1 - T^w) = -x_j (1 - T^{-w})``.
+    Each factor ``1 - T^v`` of the value's (sign-canonical) denominator is
+    taken by the one ``j`` with ``v = w``, which leaves the monomial ``x_i``,
+    or ``v = -w``, which leaves ``-x_j``; every other ``j`` multiplies by
+    ``x_i - x_j`` (:func:`_restriction_factors`).  Nothing is divided.  A
+    denominator factor that no tangent weight takes raises ValueError naming
+    the point.
+    """
+    shift, sign, others = _restriction_factors(cls, i)
+    ti = (0,) + cls.geometry.proj_weight(i).coeffs
+    acc = cls.values[i].num.terms
     for tj in others:
-        acc = _times_two_monomials(acc, (0,) + ti.coeffs, (0,) + tj.coeffs, -1)
+        acc = _times_two_monomials(acc, ti, (0,) + tj.coeffs, -1)
     return _shifted(acc, (0,) + shift.coeffs, sign)
 
 

@@ -28,8 +28,10 @@ Formulas:
              direct CCQ_n / CCX_n classes.
 
 :func:`integrate_projective` sums the localized values over the fixed points
-to the chi_y polynomial in one packed variable; its docstring gives the
-steps and why the result is exactly the full-torus sum.
+to the chi_y polynomial as the top entry of the Newton divided-difference
+table of :func:`~eck.hirzebruch.cone_pushforward`, run in one packed
+variable; its docstring gives the steps and why the result is exactly the
+full-torus sum.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import lcm
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import (
     Character,
@@ -56,6 +58,7 @@ from .algebra import (
 from .hirzebruch import (
     LocalClass,
     ProductTerm,
+    _restriction_factors,
     affine_class,
     ccq_terms,
     cone_pushforward,
@@ -81,7 +84,8 @@ Compare = Callable[[str, RatExpr, RatExpr], bool]
 
 
 class ResidualTDependence(ArithmeticError):
-    """A fixed-point sum failed to cancel its T-dependence (internal bug)."""
+    """A fixed-point sum kept T-dependence, or its values are not a class
+    (internal bug)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,65 +335,48 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     The sum is the pushforward to a point, so all T-dependence must cancel;
     the result is the chi_y polynomial of the space.
 
-    The sum runs in one variable through the packed ring of
-    :class:`~eck.algebra.PackedBox` on T alone, sized from the data, with y
-    kept in the coefficient.  Let ``L`` be the common denominator (each
-    weight at its largest multiplicity over the points),
-    ``D = prod_{w in L} (1 - T^w)`` and
+    The sum is the top entry ``g[x_1..x_n]`` of the Newton divided-difference
+    table of :func:`~eck.hirzebruch.cone_pushforward`: nodes ``x_j = T^{t_j}``
+    in index order, inputs ``g_i = values[i] * prod_{j != i} (x_i - x_j)``
+    built from :func:`~eck.hirzebruch._restriction_factors`.  It runs in one
+    variable through the packed ring of :class:`~eck.algebra.PackedBox` on T
+    alone, sized from the data, with y kept in the coefficient.  Let ``L`` be
+    the common denominator (each weight at its largest multiplicity over the
+    points), ``D = prod_{w in L} (1 - T^w)`` and
     ``N = sum_i num_i * prod_{w in L - den_i} (1 - T^w)``, so the sum is
     ``N / D``.  The box is the Newton box of ``D``
     (:func:`~eck.algebra.weight_box`) widened in each coordinate by the
-    extent of 0 and of every numerator character, so it holds 0 and every
-    monomial of ``D`` and of each summand of ``N`` without expanding
-    anything.  Each T-monomial's y-polynomial ``sum_k c_k y^k`` is one
-    integer ``sum_k c_k 2^(B*k)`` (Kronecker substitution for y): with ``M``
-    the sum of ``|c|`` over every numerator (cleared of denominators) and
-    ``|L|`` factors, the slot width is ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
+    extent of 0 and of every numerator character, and to at least
+    ``[-1, 1]`` in every pair coordinate, so it holds every node weight
+    ``t_j`` and every monomial of ``D`` and of each summand of ``N`` without
+    expanding anything.  Each T-monomial's y-polynomial ``sum_k c_k y^k`` is
+    one integer ``sum_k c_k 2^(B*k)`` (Kronecker substitution for y): with
+    ``M`` the sum of ``|c|`` over every numerator (cleared of denominators)
+    and ``|L|`` factors, the slot width is
+    ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
 
-    One cancel step does the work: it lifts packed numerators to their
-    common denominator by shift-and-subtract, adds them, and divides out,
-    in character order, each factor ``1 - T^w`` of that denominator that
-    divides the sum with no quotient key past the packed top of the box (a
-    factor that fails is not retried); then, from each factor left whose
-    weight is ``w = 2u``, it tries ``1 + T^u`` (times ``1 - T^u``, then
-    exactly over ``1 - T^w``: the same quotient, as ``Z[z^+-1]`` is a
-    domain) and keeps ``1 - T^u`` in place of ``1 - T^w`` when that
-    divides.  Each antipodal pair ``p_i``, ``p_{-i}`` of two nonzero values
-    goes through it first (the Atiyah-Bott/GKM order: the poles a pair
-    shares cancel as soon as its two points are added); then the reduced
-    pairs and any single point (``p_0`` for odd n, or a pair with one zero
-    value) go through it together.  :class:`ResidualTDependence` is raised
-    unless that leaves no factor and only the key 0, whose balanced
+    Each ``x_i - x_j`` of ``g_i`` is ``z^k_i (1 - z^(k_j - k_i))`` with
+    ``k_j = key(t_j)``, one shift-and-subtract.  A step of the table shifts
+    by ``-k_b``, subtracts and divides exactly by ``1 - z^(k_a - k_b)``.
+    For a class every step divides over the full torus, and packing keeps an
+    exact division exact, so a step that leaves a remainder, like a
+    denominator factor that is no tangent weight at its point, raises
+    :class:`ResidualTDependence`: the values are not a class.  It is raised
+    as well unless the top entry is the key 0 alone, whose balanced
     base-``2^B`` digits are the coefficients of ``P(y)``.
 
-    A pair tries only the factors along its own T-curve, the multiples of
-    ``t_i`` (``p_i`` and ``p_{-i}`` are joined by the curve of weight
-    ``2 t_i``); every other pole of the pair is shared with a point outside
-    it and waits for the merge.  At odd n the pair's ``1 - T^{2 t_i}``
-    cannot divide, since its half ``1 - T^{t_i}`` is shared with ``p_0``,
-    and ``1 + T^{t_i}`` is the one factor the pair can lose.
-
-    The top bound refuses no division that holds over the full torus: such
-    a quotient lies in its dividend's Newton polytope, and if
-    ``N / D = P(y)``, each quotient of the last step is ``P`` times the
-    factors still to come.  A pair's factor it refuses waits for the last
-    step.  The check is exactly as strong as summing over the full torus.
-    Let ``psi`` map ``T^e y^k`` to ``2^(B*k) z^phi(e)``.
-    ``1 - T^{2u} = (1 - T^u)(1 + T^u)``, so every step is an identity in
-    ``Z[z^+-1]``, and a pass with result ``R`` gives ``psi(N) = R psi(D)``.
-    The lowest key of ``psi(D)`` has coefficient ``+-1``; ``phi`` is
-    injective on the box, so the lowest key of ``psi(N)`` carries one
-    T-monomial of ``N``, whose y-coefficients are at most
-    ``M 2^|L| < 2^(B-1)``.  Hence the balanced digits of ``R`` are the
-    coefficients of ``P``, with ``|p_k| <= M 2^|L|``, and every
-    y-coefficient of ``N - P*D`` is below ``M 2^|L| + M 4^|L| < 2^(B-1)``.
-    ``psi`` is injective on such polynomials with T-support in the box, and
-    ``psi(N - P*D) = 0``, hence ``N = P*D``.  Each merge summand is the
-    one-shot summand of its points divided by factors ``1 - T^{2u}`` or
-    ``1 + T^u``, and ``Newt(A) = Newt(B) + [0, v]`` contains ``Newt(B)``
-    for ``A = B (1 +- T^v)``, so the one-shot box still holds every
-    monomial.  Which step divides a factor can change, but the result
-    ``P(y)`` of the merge is unique.
+    A returned ``P(y)`` is exactly the full-torus sum.  Let ``psi`` map
+    ``T^e y^k`` to ``2^(B*k) z^phi(e)``.  The packed table's top entry ``R``
+    equals ``psi(N) / psi(D)`` when the node keys ``phi(t_j)`` are pairwise
+    distinct, as the box makes them, so ``psi(N) = R psi(D)``.  The lowest
+    key of ``psi(D)`` has coefficient ``+-1``; ``phi`` is injective on the
+    box, so the lowest key of ``psi(N)`` carries one T-monomial of ``N``,
+    whose y-coefficients are at most ``M 2^|L| < 2^(B-1)``.  Hence the
+    balanced digits of ``R`` are the coefficients of ``P``, with
+    ``|p_k| <= M 2^|L|``, and every y-coefficient of ``N - P*D`` is below
+    ``M 2^|L| + M 4^|L| < 2^(B-1)``.  ``psi`` is injective on such
+    polynomials with T-support in the box, and ``psi(N - P*D) = 0``, hence
+    ``N = P*D``.
 
     >>> integrate_projective(projective_class("Q", 2))
     2
@@ -400,78 +387,52 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         raise ValueError("integration over fixed points applies to projective classes")
     geo = cls.geometry
     arity = geo.arity
-    pairs = [(0,)] if geo.odd else []
-    pairs += [(-i, i) for i in range(1, geo.m + 1)]
-    groups = [(pair[-1], [cls.values[i] for i in pair if not cls.values[i].is_zero]) for pair in pairs]
-    groups = [(axis, group) for axis, group in groups if group]
-    values = [v for _, group in groups for v in group]
+    nodes = geo.indices
+    values = [v for v in cls.values.values() if not v.is_zero]
     factors = list(reduce(or_, (Counter(v.den) for v in values), Counter()).elements())
     chars = {key[1:] for v in values for key in v.num.terms}
     lo, hi = weight_box(factors, arity)
     for k, column in enumerate(zip(*chars)):
         lo[k] += min(0, *column)
         hi[k] += max(0, *column)
+    for k in range(1, arity):
+        lo[k], hi[k] = min(lo[k], -1), max(hi[k], 1)
     box = PackedBox(lo, hi, 1)
-    key = box.key
-    top = key(hi)
-    packed = {e: key(e) for e in chars}
-    step = cache(lambda w: key(w.coeffs))
     scale = lcm(*(c.denominator for v in values for c in v.num.terms.values()))
     mass = int(scale * sum(abs(c) for v in values for c in v.num.terms.values()))
     width = (mass * (2 ** len(factors) + 4 ** len(factors))).bit_length() + 1
+    keys = [box.key(geo.proj_weight(j).coeffs) for j in nodes]
 
-    def pack(v: RatExpr) -> dict[int, int]:
-        """The numerator of ``v`` times ``scale``, y-powers in ``width``-bit slots."""
+    def restriction(b: int) -> dict[int, int]:
+        """``g_i`` at ``i = nodes[b]`` times ``scale``, y-powers in
+        ``width``-bit slots."""
+        shift, sign, others = _restriction_factors(cls, nodes[b])
         part: dict[int, int] = {}
-        for key, c in v.num.terms.items():
-            k = packed[key[1:]]
-            part[k] = part.get(k, 0) + (int(c * scale) << width * key[0])
-        return part
+        for key, c in cls.values[nodes[b]].num.terms.items():
+            k = box.key(key[1:])
+            part[k] = part.get(k, 0) + (int(sign * c * scale) << width * key[0])
+        for tj in others:
+            part = _times_binomial(part, box.key(tj.coeffs) - keys[b], -1)
+        offset = box.key(shift.coeffs) + len(others) * keys[b]
+        return {k + offset: c for k, c in part.items()}
 
-    def cancel(
-        parts: list[tuple[dict[int, int], Sequence[Character]]], axis: int | None = None
-    ) -> tuple[dict[int, int], list[Character]]:
-        """Sum the packed numerators ``parts`` (each over its denominator)
-        over their common denominator and divide out each tried factor
-        ``1 - T^w`` that divides, then ``1 + T^u`` from each tried factor
-        ``w = 2u`` left; return the quotient and the factors left.  Every
-        factor is tried, or with ``axis = i`` only the multiples of ``t_i``."""
-
-        def tried(w: Character) -> bool:
-            return axis is None or not any(c for k, c in enumerate(w.coeffs) if k != axis)
-
-        dens = [Counter(den) for _, den in parts]
-        common = reduce(or_, dens, Counter())
-        total: dict[int, int] = {}
-        for (part, _), den in zip(parts, dens):
-            for w in (common - den).elements():
-                part = _times_binomial(part, step(w), -1)
-            _add_into(total, part)
-        left: list[Character] = []
-        for w in sorted(common.elements(), key=lambda w: w.coeffs):
-            quotient = _over_one_minus(total, step(w), top) if tried(w) and w not in left else None
+    try:
+        table = [restriction(b) for b in range(len(nodes))]
+    except ValueError as err:
+        raise ResidualTDependence(str(err)) from None
+    for level in range(1, len(nodes)):
+        for b in range(len(nodes) - 1, level - 1, -1):
+            a = b - level
+            step = {k - keys[b]: c for k, c in table[b].items()}
+            _add_into(step, {k - keys[b]: -c for k, c in table[b - 1].items()})
+            quotient = _over_one_minus(step, keys[a] - keys[b])
             if quotient is None:
-                left.append(w)
-            else:
-                total = quotient
-        for j, w in enumerate(left):
-            if tried(w) and not any(c % 2 for c in w.coeffs):
-                u = Character(tuple(c // 2 for c in w.coeffs))
-                quotient = _over_one_minus(_times_binomial(total, step(u), -1), step(w), top)
-                if quotient is not None:
-                    total, left[j] = quotient, u
-        return total, left
-
-    reduced = []
-    for axis, group in groups:
-        parts = [(pack(v), v.den) for v in group]
-        reduced.append(cancel(parts, axis) if len(parts) == 2 else parts[0])
-    total, left = cancel(reduced)
-    if left:
-        raise ResidualTDependence(
-            f"fixed-point sum of {cls.space}_{cls.n} kept T-dependence: "
-            f"the factor (1 - {SparsePoly.monomial(left[0])}) of the common denominator did not cancel"
-        )
+                raise ResidualTDependence(
+                    f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
+                    "leaves a remainder; the values are not a class"
+                )
+            table[b] = quotient
+    total = table[-1]
     leftover = min((k for k in total if k), default=0)
     if leftover:
         ypow, c = next(iter(_balanced_digits(total[leftover], width).items()))

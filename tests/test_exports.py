@@ -10,11 +10,7 @@ import eck
 SRC = Path(eck.__file__).resolve().parent
 
 #: public names with no caller in the package, and why each stays
-ALLOWED = {
-    "hfactor_expr": "the independent h-factor reference that tests/test_hirzebruch.py checks class assembly against",
-    "hfactor_minus_one_expr": "the h - 1 factor reference of tests/test_hirzebruch.py, beside hfactor_expr",
-    "cq_step_correction": "the displayed correction of the CQ recursion, checked by tests/test_positivity.py",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _public_definitions(tree: ast.Module):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eck.algebra import Character, DivisionByZero, NotDivisible, RatExpr, SparsePoly, hfactor_expr, hfactor_minus_one_expr
+from hfactors import hfactor_expr, hfactor_minus_one_expr
+
+from eck.algebra import Character, DivisionByZero, NotDivisible, RatExpr, SparsePoly
 from eck.hirzebruch import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,

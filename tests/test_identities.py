@@ -9,7 +9,7 @@ from bench_loader import load_bench
 
 from eck import identities
 
-from eck.algebra import Character, PackedBox, RatExpr, SparsePoly
+from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, projective_class
 from eck.identities import (
     FORMULAS,
@@ -233,85 +233,59 @@ def test_integration_rejects_a_perturbation_at_any_point(point):
     assert not _full_torus_sum(broken).num.is_y_only()
 
 
-def _recorded_divisions(monkeypatch) -> list[tuple[int, bool]]:
-    """Record the packed divisions ``integrate_projective`` makes, in order,
-    as ``(step, refused)``."""
-    calls: list[tuple[int, bool]] = []
-    divide = identities._over_one_minus
-
-    def recorded(f, step, top):
-        quotient = divide(f, step, top)
-        calls.append((step, quotient is None))
-        return quotient
-
-    monkeypatch.setattr(identities, "_over_one_minus", recorded)
-    return calls
-
-
-def test_integration_rejects_a_perturbation_the_pair_step_divides(monkeypatch):
-    """``(1 + T1)(T1^2 - T2)`` added at ``p_1``: both pairs still divide by
-    their ``1 + T^{t_i}``, the perturbed pair ``p_1``, ``p_-1`` too, and the
-    merge still rejects the sum.  In each pair the division by
-    ``1 - T^{2 t_i}`` (step ``2 key(t_i)``) is refused, and the same step
-    then divides the sum lifted by ``1 - T^{t_i}``."""
-    calls = _recorded_divisions(monkeypatch)
-    boxes = []
-
-    def recorded(*args):
-        boxes.append(PackedBox(*args))
-        return boxes[-1]
-
-    monkeypatch.setattr(identities, "PackedBox", recorded)
+def test_integration_rejects_a_perturbation_the_pair_step_divides():
+    """``(1 + T1)(T1^2 - T2)`` added at ``p_1``: a perturbation that an
+    antipodal pair ``p_1``, ``p_-1`` still divides by ``1 + T^{t_1}``, so
+    only the whole sum shows it.  The Newton table rejects it, as the
+    full-torus fold does."""
     broken = _p5_with({1: (SparsePoly.one(3) + SparsePoly.monomial(Character((0, 1, 0)))) * _EXTRA})
     with pytest.raises(ResidualTDependence, match="broken_5"):
         integrate_projective(broken)
-    (box,) = boxes
-    for i in (1, 2):
-        two = 2 * box.key(Character.basis(3, i).coeffs)
-        assert any(calls[j : j + 2] == [(two, True), (two, False)] for j in range(len(calls))), (i, calls)
     assert not _full_torus_sum(broken).num.is_y_only()
 
 
-def test_pair_step_tries_only_the_pair_curve(monkeypatch):
-    """A work-count guard: each pair tries only the factors along its own
-    T-curve (the multiples of ``t_i``), so few packed divisions are refused;
-    trying every factor of the pair refuses 32 at Qc_9."""
-    calls = _recorded_divisions(monkeypatch)
-    for kind, n, most in (("Qc", 9, 8), ("P", 7, 6)):
-        calls.clear()
-        assert chi_y(kind, n).y_coefficients() == genus_closed_form(kind, n)
-        refused = sum(no for _, no in calls)
-        assert refused <= most, (kind, n, refused)
+def test_newton_table_work_count(monkeypatch):
+    """A work-count guard: the table makes one packed division per step,
+    ``n (n - 1) / 2`` in all, and none is refused; keying T alone, with each
+    T-monomial's y-polynomial in one integer, keeps the largest dividend of
+    a Qc_9 integration at 196 keys."""
+    calls: list[tuple[int, bool]] = []
+    divide = identities._over_one_minus
 
+    def recorded(f, step):
+        quotient = divide(f, step)
+        calls.append((len(f), quotient is None))
+        return quotient
 
-def test_lift_keeps_y_in_the_coefficient(monkeypatch):
-    """A work-count guard: the packed ring keys T alone and carries each
-    T-monomial's y-polynomial in one integer, so the largest lifted summand
-    of a Qc_9 integration stays small; keying y as well gives 10,148 keys."""
-    largest = [0]
-    lift = identities._times_binomial
-
-    def counted(f, step, sign):
-        out = lift(f, step, sign)
-        largest[0] = max(largest[0], len(out))
-        return out
-
-    monkeypatch.setattr(identities, "_times_binomial", counted)
+    monkeypatch.setattr(identities, "_over_one_minus", recorded)
     assert chi_y("Qc", 9).y_coefficients() == genus_closed_form("Qc", 9)
-    assert 0 < largest[0] <= 3000, largest[0]
+    assert len(calls) == 36 and not any(refused for _, refused in calls)
+    assert max(size for size, _ in calls) <= 400, calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_integration_keeps_the_node_keys_apart(n):
+    """The value 1 at ``p_1`` and 0 elsewhere sums to 1.  It has no
+    denominator and no T in its numerator, so only the box's ``[-1, 1]`` in
+    every pair coordinate keeps the node keys ``phi(t_j)`` distinct; packing
+    two nodes alike returns 0 at n = 4 and 5."""
+    geo = GeometryConfig(n)
+    values = {i: RatExpr.one(geo.arity) if i == 1 else RatExpr.zero(geo.arity) for i in geo.indices}
+    lone = LocalClass(geometry=geo, space="lone", n=n, values=values, recipes={i: () for i in geo.indices})
+    assert integrate_projective(lone) == SparsePoly.one(geo.arity)
 
 
 def test_integration_names_what_kept_t_dependence():
-    """The two messages of the merge.  A sum of ``1 / (1 - T1)`` alone has the
-    numerator 1, pure in y, so only the factor left over shows the
-    T-dependence; the perturbed P_5 sum divides out every factor and keeps a
+    """The messages of the Newton table.  ``1 / (1 - T1)`` at ``p_1`` of
+    P^1 has a denominator factor that is no tangent weight there, named
+    with its point; the perturbed P_5 sum divides at every step and keeps a
     term, named with the coefficient of its lowest y-power when it carries
     y."""
     geo = GeometryConfig(2)
     one_pole = RatExpr(SparsePoly.one(geo.arity), (Character.basis(geo.arity, 1),))
     values = {i: one_pole if i == 1 else RatExpr.zero(geo.arity) for i in geo.indices}
     broken = LocalClass(geometry=geo, space="broken", n=2, values=values, recipes={i: () for i in geo.indices})
-    with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_2 kept T-dependence: the factor \(1 - T1\) of the common denominator did not cancel$"):
+    with pytest.raises(ResidualTDependence, match=r"^broken \(n=2\) at p_1: denominator factor 1 - T\^\(t1\) is not a tangent weight of P\^1 there$"):
         integrate_projective(broken)
     with pytest.raises(ResidualTDependence, match=r"^fixed-point sum of broken_5 kept T-dependence: leftover term T1\^2$"):
         integrate_projective(_p5_with({1: _EXTRA}))
@@ -344,7 +318,7 @@ def test_integration_matches_full_torus_fold(kind):
 
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
 def test_genus_closed_forms(kind):
-    for n in range(1 if kind == "P" else 2, 11):
+    for n in range(1 if kind == "P" else 2, 13):
         assert chi_y(kind, n).y_coefficients() == genus_closed_form(kind, n), (kind, n)
 
 
