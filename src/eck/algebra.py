@@ -537,8 +537,6 @@ def _over_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff] | None:
         lines.setdefault(key % size, []).append(key)
     out: dict[int, Coeff] = {}
     for keys in lines.values():
-        if sum(map(f.__getitem__, keys)):
-            return None
         running: Coeff = 0
         for key, after in zip(keys, keys[1:]):
             running += f[key]
@@ -546,6 +544,8 @@ def _over_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff] | None:
                 c = -running if shift else running
                 for k in range(key + shift, after + shift, size):
                     out[k] = c
+        if running + f[keys[-1]]:
+            return None
     return out
 
 

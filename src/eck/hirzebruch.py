@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -396,34 +397,39 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 affine_class.cache_clear = _cache_clear(_build_affine)
 
 
-def _restriction_factors(cls: LocalClass, i: int) -> tuple[Character, int, list[Character]]:
-    """``(shift, sign, others)`` with ``g_i = sign * T^shift * num_i *
-    prod_{t_j in others} (x_i - x_j)``, ``num_i`` the numerator of
-    ``values[i]``, for the ``g_i`` of :func:`_restriction`."""
+@cache
+def _node_index(geo: GeometryConfig) -> Mapping[tuple[int, ...], int]:
+    """``t_j -> j`` over the fixed points of P^{n-1}, in index order."""
+    return MappingProxyType({geo.proj_weight(j).coeffs: j for j in geo.indices})
+
+
+def _restriction_factors(cls: LocalClass, i: int) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """``(shift, sign, others)`` on exponent tuples with ``g_i = sign *
+    T^shift * num_i * prod_{t_j in others} (x_i - x_j)``, ``num_i`` the
+    numerator of ``values[i]``, for the ``g_i`` of :func:`_restriction`.
+    The weights ``t_j`` are distinct, so the one ``j`` that can take a
+    denominator factor ``v`` as ``v = t_j - t_i`` or as ``v = t_i - t_j`` is
+    found by lookup; canonical factors ``v != v'`` never compete for a
+    ``j``."""
     geo = cls.geometry
-    ti = geo.proj_weight(i)
-    den = Counter(cls.values[i].den)
-    shift, sign, others = Character.zero(geo.arity), 1, []
-    for j in geo.indices:
-        if j == i:
-            continue
-        tj = geo.proj_weight(j)
-        w = tj - ti
-        if den[w]:
-            den[w] -= 1
-            shift = shift + ti
-        elif den[-w]:
-            den[-w] -= 1
-            shift, sign = shift + tj, -sign
+    index = _node_index(geo)
+    weights = {j: w for w, j in index.items()}
+    ti = weights.pop(i)
+    sign, left = 1, []
+    for v in cls.values[i].den:
+        j = index.get(tuple(map(add, ti, v.coeffs)))
+        if j in weights:
+            del weights[j]
+            left.append(ti)
+        elif (j := index.get(tuple(map(sub, ti, v.coeffs)))) in weights:
+            left.append(weights.pop(j))
+            sign = -sign
         else:
-            others.append(tj)
-    left = +den
-    if left:
-        raise ValueError(
-            f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(next(iter(left)))}) "
-            f"is not a tangent weight of P^{geo.n - 1} there"
-        )
-    return shift, sign, others
+            raise ValueError(
+                f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(v)}) "
+                f"is not a tangent weight of P^{geo.n - 1} there"
+            )
+    return tuple(map(sum, zip(*left))) if left else (0,) * geo.arity, sign, list(weights.values())
 
 
 def _restriction(cls: LocalClass, i: int) -> Flat:
@@ -443,8 +449,8 @@ def _restriction(cls: LocalClass, i: int) -> Flat:
     ti = (0,) + cls.geometry.proj_weight(i).coeffs
     acc = cls.values[i].num.terms
     for tj in others:
-        acc = _times_two_monomials(acc, ti, (0,) + tj.coeffs, -1)
-    return _shifted(acc, (0,) + shift.coeffs, sign)
+        acc = _times_two_monomials(acc, ti, (0,) + tj, -1)
+    return _shifted(acc, (0,) + shift, sign)
 
 
 def cone_pushforward(cls: LocalClass) -> RatExpr:

@@ -50,7 +50,6 @@ from .algebra import (
     PackedBox,
     RatExpr,
     SparsePoly,
-    _add_into,
     _over_one_minus,
     _times_binomial,
     weight_box,
@@ -401,6 +400,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     scale = lcm(*(c.denominator for v in values for c in v.num.terms.values()))
     mass = int(scale * sum(abs(c) for v in values for c in v.num.terms.values()))
     width = (mass * (2 ** len(factors) + 4 ** len(factors))).bit_length() + 1
+    packed = {e: box.key(e) for e in chars}
     keys = [box.key(geo.proj_weight(j).coeffs) for j in nodes]
 
     def restriction(b: int) -> dict[int, int]:
@@ -409,11 +409,11 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         shift, sign, others = _restriction_factors(cls, nodes[b])
         part: dict[int, int] = {}
         for key, c in cls.values[nodes[b]].num.terms.items():
-            k = box.key(key[1:])
+            k = packed[key[1:]]
             part[k] = part.get(k, 0) + (int(sign * c * scale) << width * key[0])
         for tj in others:
-            part = _times_binomial(part, box.key(tj.coeffs) - keys[b], -1)
-        offset = box.key(shift.coeffs) + len(others) * keys[b]
+            part = _times_binomial(part, box.key(tj) - keys[b], -1)
+        offset = box.key(shift) + len(others) * keys[b]
         return {k + offset: c for k, c in part.items()}
 
     try:
@@ -423,8 +423,9 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     for level in range(1, len(nodes)):
         for b in range(len(nodes) - 1, level - 1, -1):
             a = b - level
-            step = {k - keys[b]: c for k, c in table[b].items()}
-            _add_into(step, {k - keys[b]: -c for k, c in table[b - 1].items()})
+            high, low = table[b], table[b - 1]
+            step = {k - keys[b]: c - low.get(k, 0) for k, c in high.items()}
+            step.update({k - keys[b]: -c for k, c in low.items() if k not in high})
             quotient = _over_one_minus(step, keys[a] - keys[b])
             if quotient is None:
                 raise ResidualTDependence(

@@ -174,7 +174,8 @@ def test_integration_must_clear_denominators():
         },
         recipes={i: () for i in geo.indices},
     )
-    with pytest.raises(ResidualTDependence):
+    message = r"^broken \(n=3\): the divided difference over p_0\.\.p_1 leaves a remainder; the values are not a class$"
+    with pytest.raises(ResidualTDependence, match=message):
         integrate_projective(broken)
 
 
