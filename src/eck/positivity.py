@@ -266,6 +266,34 @@ def recipe_form(recipes: Iterable[ProductTerm], weights: Sequence[Character]) ->
     return total
 
 
+def product_of_weights_minus_one(weights: tuple[Character, ...], combo: Mapping[Character, int]) -> dict:
+    """Rewrite ``T^v - 1`` where ``T^v = prod T^{w}^{e_w}`` with nonnegative
+    multiplicities: expands ``prod (S_w + 1)^{e_w} - 1``.  Raises
+    StructuralRewriteFailed on a negative multiplicity (the monomial would
+    not be a nonnegative combination of ambient weights)."""
+    one = _s_key(weights)
+    out = _times_one_plus_s({one: 1}, weights, combo)
+    _add_into(out, {one: -1})
+    return out
+
+
+def cq_step_correction(n: int) -> SPolynomial:
+    """The displayed correction term of the CQ recursion,
+    ``delta (S_t^2 + 2 S_t) / (S_{t+t_m} S_{t-t_m})``, in the single
+    S-variable S_t (equal to -(1+y)(T^2-1) over the same denominator).  No
+    runtime code calls it: it is the displayed form that the tests check
+    the recursion's correction (``_times_correction``) against.
+
+    >>> print(cq_step_correction(4))
+    (2*delta*S(t) + delta*S(t)^2) / S(t+t2) S(t-t2)
+    """
+    geo = GeometryConfig(n)
+    if geo.m < 1:
+        raise ValueError("the recursion step needs n >= 2")
+    num = _shifted(product_of_weights_minus_one((geo.t,), {geo.t: 2}), (1, 0))
+    return SPolynomial((geo.t,), num, (geo.affine_weight(geo.m), geo.affine_weight(-geo.m)))
+
+
 def _times_correction(p: Flat, geo: GeometryConfig, weights: tuple[Character, ...], msub: int) -> Flat:
     """``p`` times the level-msub correction numerator ``delta * (T^2 - 1)``,
     as ``delta * (p * prod (1 + S_w) - p)``: T^2 is S_t twice when t is a

@@ -245,11 +245,9 @@ def test_integration_rejects_a_perturbation_the_pair_step_divides():
     assert not _full_torus_sum(broken).num.is_y_only()
 
 
-def test_newton_table_work_count(monkeypatch):
-    """A work-count guard: the table makes one packed division per step,
-    ``n (n - 1) / 2`` in all, and none is refused; keying T alone, with each
-    T-monomial's y-polynomial in one integer, keeps the largest dividend of
-    a Qc_9 integration at 196 keys."""
+def _recorded_divisions(monkeypatch) -> list[tuple[int, bool]]:
+    """Record the packed divisions ``integrate_projective`` makes, in order,
+    as ``(dividend size, refused)``."""
     calls: list[tuple[int, bool]] = []
     divide = identities._over_one_minus
 
@@ -259,9 +257,26 @@ def test_newton_table_work_count(monkeypatch):
         return quotient
 
     monkeypatch.setattr(identities, "_over_one_minus", recorded)
+    return calls
+
+
+def test_pair_step_tries_only_the_pair_curve(monkeypatch):
+    """A work-count guard: each step of the Newton table divides once, by
+    ``1 - z^(k_a - k_b)`` along the T-curve of its own pair of nodes
+    ``p_a``, ``p_b``, ``n (n - 1) / 2`` divisions in all, and none is
+    refused."""
+    calls = _recorded_divisions(monkeypatch)
     assert chi_y("Qc", 9).y_coefficients() == genus_closed_form("Qc", 9)
     assert len(calls) == 36 and not any(refused for _, refused in calls)
-    assert max(size for size, _ in calls) <= 400, calls
+
+
+def test_lift_keeps_y_in_the_coefficient(monkeypatch):
+    """A work-count guard: the packed ring keys T alone and carries each
+    T-monomial's y-polynomial in one integer, so the largest dividend of a
+    Qc_9 integration stays small (196 keys)."""
+    calls = _recorded_divisions(monkeypatch)
+    assert chi_y("Qc", 9).y_coefficients() == genus_closed_form("Qc", 9)
+    assert 0 < max(size for size, _ in calls) <= 400, calls
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from hfactors import hfactor_expr
 
-from eck.algebra import Character, RatExpr, SparsePoly, _add_into, _shifted
+from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import AFFINE_KINDS, PROJECTIVE_KINDS, affine_class, projective_class
 from eck.positivity import (
     SPolynomial,
     StructuralRewriteFailed,
     _cq_spoly_num,
-    _s_key,
-    _times_one_plus_s,
     certify,
     check_nonnegative,
+    cq_step_correction,
+    product_of_weights_minus_one,
     recipe_form,
     to_positive_form,
 )
@@ -27,28 +27,6 @@ from eck.torus import GeometryConfig, ambient_weights
 
 def _t(arity: int) -> Character:
     return Character((1,) + (0,) * (arity - 1))
-
-
-def product_of_weights_minus_one(weights: tuple[Character, ...], combo: dict[Character, int]) -> dict:
-    """Rewrite ``T^v - 1`` where ``T^v = prod T^{w}^{e_w}`` with nonnegative
-    multiplicities: expands ``prod (S_w + 1)^{e_w} - 1``.  Raises
-    StructuralRewriteFailed on a negative multiplicity (the monomial would
-    not be a nonnegative combination of ambient weights)."""
-    one = _s_key(weights)
-    out = _times_one_plus_s({one: 1}, weights, combo)
-    _add_into(out, {one: -1})
-    return out
-
-
-def cq_step_correction(n: int) -> SPolynomial:
-    """The displayed correction term of the CQ recursion,
-    ``delta (S_t^2 + 2 S_t) / (S_{t+t_m} S_{t-t_m})``, in the single
-    S-variable S_t (equal to -(1+y)(T^2-1) over the same denominator): the
-    displayed form that the recursion's correction (``_times_correction``)
-    is checked against."""
-    geo = GeometryConfig(n)
-    num = _shifted(product_of_weights_minus_one((geo.t,), {geo.t: 2}), (1, 0))
-    return SPolynomial((geo.t,), num, (geo.affine_weight(geo.m), geo.affine_weight(-geo.m)))
 
 
 # -- building blocks ---------------------------------------------------------
@@ -105,7 +83,6 @@ def test_spolynomial_validation():
 
 def test_correction_term_structure():
     got = cq_step_correction(4)
-    assert str(got) == "(2*delta*S(t) + delta*S(t)^2) / S(t+t2) S(t-t2)"
     geo = GeometryConfig(4)
     assert got.weights == (geo.t,)
     assert dict(got.terms) == {(1, 1): 2, (1, 2): 1}
