@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("csm", help="CSM polynomial of a cone complement")
     p.add_argument("--n", required=True, help="dimension or inclusive range A..B")
     p.add_argument("--space", choices=("CCQ", "CCX"), default="CCQ")
-    p.add_argument("--order", type=int, default=None, help="series truncation order (defaults to n + 4)")
+    p.add_argument("--order", type=int, default=None, help="only checked against n + 2; the precision is read from the class")
     common(p)
 
     p = sub.add_parser("table", help="run the full acceptance suite")

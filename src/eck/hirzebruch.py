@@ -247,25 +247,21 @@ def _projective_terms(kind: str, geo: GeometryConfig, nsub: int, i: int) -> list
         # Q = P - Qc by additivity.
         return [p_term] + [(-c, k, fs) for c, k, fs in qc_terms]
 
-    if kind in ("X", "Xc"):
-        if msub < 1:
-            raise ValueError(f"{kind} needs n >= 2")
-        top = msub
-        if abs(i) == top:
-            # p_i lies on exactly one of the two hyperplanes of X.
-            x_terms: list[ProductTerm] = [(1, 0, _tangent_product(geo, sub, i, frozenset({i, -i})))]
-        else:
-            # inclusion-exclusion over the two hyperplanes and their meet
-            x_terms = [
-                (1, 0, _tangent_product(geo, sub, i, frozenset({top}))),
-                (1, 0, _tangent_product(geo, sub, i, frozenset({-top}))),
-                (-1, 0, _tangent_product(geo, sub, i, frozenset({top, -top}))),
-            ]
-        if kind == "X":
-            return x_terms
-        return [p_term] + [(-c, k, fs) for c, k, fs in x_terms]
-
-    raise ValueError(f"unknown projective kind {kind!r}")
+    # X or Xc; projective_class has checked the kind and n >= 2.
+    top = msub
+    if abs(i) == top:
+        # p_i lies on exactly one of the two hyperplanes of X.
+        x_terms: list[ProductTerm] = [(1, 0, _tangent_product(geo, sub, i, frozenset({i, -i})))]
+    else:
+        # inclusion-exclusion over the two hyperplanes and their meet
+        x_terms = [
+            (1, 0, _tangent_product(geo, sub, i, frozenset({top}))),
+            (1, 0, _tangent_product(geo, sub, i, frozenset({-top}))),
+            (-1, 0, _tangent_product(geo, sub, i, frozenset({top, -top}))),
+        ]
+    if kind == "X":
+        return x_terms
+    return [p_term] + [(-c, k, fs) for c, k, fs in x_terms]
 
 
 @cache
@@ -351,18 +347,15 @@ def _affine_terms(kind: str, geo: GeometryConfig, nsub: int) -> list[ProductTerm
     if kind == "Cstar":
         return [(1, 0, tuple((geo.affine_weight(j), True) for j in sub))]
     if kind in ("CCX", "CX"):
-        if nsub < 2:
-            raise ValueError(f"{kind} needs n >= 2")
         ccx_terms = [(1, 0, ccx_product(geo, pair_list, with_zero))]
         if kind == "CCX":
             return ccx_terms
         return [cn_term] + [(-c, k, fs) for c, k, fs in ccx_terms]
-    if kind in ("CCQ", "CQ"):
-        terms = ccq_terms(geo, pair_list, with_zero)
-        if kind == "CCQ":
-            return terms
-        return [cn_term] + [(-c, k, fs) for c, k, fs in terms]
-    raise ValueError(f"unknown affine kind {kind!r}")
+    # CCQ or CQ; affine_class has checked the kind and the floor.
+    terms = ccq_terms(geo, pair_list, with_zero)
+    if kind == "CCQ":
+        return terms
+    return [cn_term] + [(-c, k, fs) for c, k, fs in terms]
 
 
 @cache

@@ -7,7 +7,9 @@ Both act on the diagonalized class, in the one variable ``T``:
   (``u -> 0``), after checking that all negative-``u`` rows cancel.  The
   series are exact through a tracked truncation order: every arithmetic
   operation propagates the order through valuations, so a coefficient
-  below the order bound is exact, never an approximation;
+  below the order bound is exact, never an approximation.  The working
+  precision ``1 + 4 len(den)`` is read off the class; a user-given order
+  is only checked against ``n + 2``;
 * the multidegree substitutes a fixed ``y`` (0 by default) and ``T = e^{-t}``
   and reads off the bottom term exactly, with no series and no truncation.
 """
@@ -174,24 +176,26 @@ def csm(diag: RatExpr, n: int, order: int | None = None) -> tuple[Coeff, ...]:
 
     Substitutes ``y = u - 1`` and ``T = e^{-ut}``, takes the ``u^0`` row
     (the limit ``y -> -1``), and multiplies by the Euler class ``t^n`` of
-    the origin.  Returns the coefficient tuple ``(c_0, ..., c_d)`` of the
+    the origin.  Returns the coefficient tuple ``(c_0, c_1, ...)`` of the
     resulting polynomial in t.
 
-    The default truncation order is ``n + 4``; orders below ``n + 2`` leave
-    no guard terms and are rejected.  An ``n`` below the class's own leaves
-    a term of negative degree and raises ``ValueError``.
+    The working precision is read off the class, not off ``order``.  With
+    ``d = len(diag.den)``, the denominator ``prod (1 - e^{-k u t})`` is a
+    series in ``s = ut`` alone, of valuation ``2d``, so at precision ``w``
+    ``inverse()`` leaves the quotient exact below total degree ``w - 4d``.
+    Every numerator term is ``c (u-1)^p e^{-k s}``, so every term of the
+    series is ``u^{i+j} t^j`` with ``0 <= i <= p`` and ``j >= -d``: the
+    ``u^0`` row has t-degree ``-i <= 0``, and every ``u^{<0}`` term has
+    total degree below 0.  Both lie below total degree 1, so ``w = 1 + 4d``
+    holds them exactly, and no ``u^0`` term of positive t-degree exists.
+
+    ``order`` is only validated: below ``n + 2`` it raises
+    ``TruncationTooLow``.  An ``n`` below the class's own leaves a term of
+    negative degree and raises ``ValueError``.
     """
-    if order is None:
-        order = n + 4
-    if order < n + 2:
+    if order is not None and order < n + 2:
         raise TruncationTooLow(f"truncation order {order} < n + 2 = {n + 2}")
-    guard = order - n
-    work = guard + 1 + 4 * len(diag.den) + 2
-    series = _csm_series(diag, work)
-    if series.order <= guard:
-        raise TruncationTooLow(
-            f"working precision {series.order} did not reach the guard zone {guard}"
-        )
+    series = _csm_series(diag, 1 + 4 * len(diag.den))
     for (a, b), c in sorted(series.terms.items()):
         if a < 0:
             raise NonvanishingNegativeUPart(f"u^{a} t^{b} survives with coefficient {c}")
@@ -199,8 +203,6 @@ def csm(diag: RatExpr, n: int, order: int | None = None) -> tuple[Coeff, ...]:
     for b, c in sorted(row.items()):
         if b < -n:
             raise ValueError(f"term t^{b + n} = {c} has negative degree after scaling by t^{n}")
-        if b > 0:
-            raise TruncationTooLow(f"guard coefficient t^{b} = {c} is nonzero after scaling by t^{n}")
     coeffs = [0] * (n + 1)
     for b, c in row.items():
         coeffs[b + n] = c

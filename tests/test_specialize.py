@@ -15,6 +15,7 @@ from eck.specialize import (
     NonvanishingNegativeUPart,
     TruncationTooLow,
     ZeroClass,
+    _csm_series,
     csm,
     csm_both,
     csm_closed_family,
@@ -158,10 +159,33 @@ def test_limits_are_nonnegative_integers():
 
 
 def test_order_guard():
+    """``order`` only validates: below ``n + 2`` it is rejected, and any
+    order at or above it gives the default's tuple."""
     diag = diagonalize(affine_class("CCQ", 4))
     with pytest.raises(TruncationTooLow):
         csm(diag, 4, order=5)
-    assert csm(diag, 4, order=6) == csm(diag, 4)
+    for order in (6, 12, 40):
+        assert csm(diag, 4, order=order) == csm(diag, 4)
+
+
+def _limit_part(series):
+    """The terms the limit reads: ``u <= 0`` and total degree below 1."""
+    return {(a, b): c for (a, b), c in series.terms.items() if a <= 0 and a + b < 1}
+
+
+@pytest.mark.parametrize("kind", ["Cn", "Cstar", "CQ", "CCQ", "CX", "CCX"])
+def test_working_precision_holds_the_limit(kind):
+    """The argument of ``csm``'s docstring as assertions: at precision
+    ``1 + 4 len(den)`` the series is exact through total degree 0, its
+    ``u <= 0`` part below degree 1 is what ten more degrees of precision
+    give, and no ``u^0`` term of positive t-degree exists."""
+    for n in range(2 if kind in ("CX", "CCX") else 0, 11):
+        diag = diagonalize(affine_class(kind, n))
+        work = 1 + 4 * len(diag.den)
+        low, high = _csm_series(diag, work), _csm_series(diag, work + 10)
+        assert low.order >= 1
+        assert _limit_part(low) == _limit_part(high)
+        assert not any(b > 0 for b in high.u_coefficients(0))
 
 
 def test_csm_rejects_an_n_below_the_class():
