@@ -28,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 Coeff = int | Fraction
@@ -287,13 +287,15 @@ class SparsePoly:
     # -- substitutions --------------------------------------------------
 
     def subs_y(self, value: Coeff) -> SparsePoly:
-        """Substitute an exact rational value for y, keeping T symbolic."""
+        """Substitute an exact rational value for y, keeping T symbolic; an
+        integral value stays an int, so integer terms stay integers."""
+        value = _norm(Fraction(value))
         powers: dict[int, Coeff] = {0: 1}
         acc: Flat = {}
         for (ypow, *char), c in self.terms.items():
             power = powers.get(ypow)
             if power is None:
-                power = powers[ypow] = Fraction(value) ** ypow
+                power = powers[ypow] = value**ypow
             key = (0, *char)
             nc = acc.get(key, 0) + c * power
             if nc:
@@ -379,11 +381,8 @@ def _times_two_monomials(acc: Flat, first: tuple | None, second: tuple | None, s
     >>> _times_two_monomials({(0, 1): 1}, None, (1, 0))
     {(0, 1): 1, (1, 1): 1}
     """
-    out: Flat = {}
-    for key, v in acc.items():
-        if first is not None:
-            key = tuple(map(add, key, first))
-        out[key] = out.get(key, 0) + v
+    # a shift is injective, so the first copy merges nothing
+    out = dict(acc) if first is None else {tuple(map(add, key, first)): v for key, v in acc.items()}
     for key, v in acc.items():
         if second is not None:
             key = tuple(map(add, key, second))
@@ -532,21 +531,22 @@ def _over_one_minus(f: dict[int, Coeff], step: int) -> dict[int, Coeff] | None:
     """
     size = abs(step)
     shift = 0 if step > 0 else size
-    lines: dict[int, list[int]] = {}
-    for key in sorted(f):
-        lines.setdefault(key % size, []).append(key)
     out: dict[int, Coeff] = {}
-    for keys in lines.values():
-        running: Coeff = 0
-        for key, after in zip(keys, keys[1:]):
-            running += f[key]
-            if running:
-                c = -running if shift else running
-                for k in range(key + shift, after + shift, size):
+    running: Coeff = 0
+    prev = 0
+    for key in sorted(sorted(f), key=size.__rmod__):  # line by line, each rising
+        if running:
+            c = -running if shift else running
+            if key - prev == size:  # most gaps are one step
+                out[prev + shift] = c
+            elif (key - prev) % size:  # a line ends with a remainder
+                return None
+            else:
+                for k in range(prev + shift, key + shift, size):
                     out[k] = c
-        if running + f[keys[-1]]:
-            return None
-    return out
+        running += f[key]
+        prev = key
+    return None if running else out
 
 
 # -- sample points for mismatch witnesses -----------------------------------
@@ -618,8 +618,7 @@ class RatExpr:
     def __post_init__(self) -> None:
         num = self.num
         fixed: list[Character] = []
-        flips = 0
-        shift = Character.zero(num.arity)
+        flipped: list[tuple[int, ...]] = []
         for w in self.den:
             if w.arity != num.arity:
                 raise ArityMismatch(f"denominator arity {w.arity} != {num.arity}")
@@ -629,12 +628,11 @@ class RatExpr:
                 fixed.append(w)
             else:
                 fixed.append(-w)
-                flips += 1
-                shift = shift + (-w)
-        if flips:
-            num = num.shifted(shift, coeff=(-1) ** flips)
+                flipped.append(fixed[-1].coeffs)
+        if flipped:
+            num = num.shifted(Character(tuple(map(sum, zip(*flipped)))), coeff=(-1) ** len(flipped))
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", tuple(sorted(fixed, key=lambda w: w.coeffs)))
+        object.__setattr__(self, "den", tuple(sorted(fixed, key=attrgetter("coeffs"))))
 
     @classmethod
     def from_poly(cls, p: SparsePoly) -> RatExpr:

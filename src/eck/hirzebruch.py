@@ -58,7 +58,7 @@ from .algebra import (
     _times_two_monomials,
 )
 from .render import weight_text
-from .torus import GeometryConfig
+from .torus import GeometryConfig, _clear_tables
 
 PROJECTIVE_KINDS = ("P", "Q", "X", "Qc", "Xc")
 AFFINE_KINDS = ("Cn", "CQ", "CX", "CCQ", "CCX", "Cstar")
@@ -176,11 +176,16 @@ def _shared(expr: RatExpr) -> RatExpr:
 
 
 def _cache_clear(build) -> Callable[[], None]:
-    """Empty the cache of ``build`` and the interning table."""
+    """Empty the cache of ``build``, the interning table, the memos of
+    :func:`_tangent_product` and :func:`_node_index`, and the per-``n``
+    tables of the torus layer."""
 
     def cache_clear() -> None:
         build.cache_clear()
         _INTERNED.clear()
+        _tangent_product.cache_clear()
+        _node_index.cache_clear()
+        _clear_tables()
 
     return cache_clear
 
@@ -212,7 +217,11 @@ class LocalClass:
 # -- projective classes ----------------------------------------------------
 
 
+@cache
 def _tangent_product(geo: GeometryConfig, sub: tuple[int, ...], i: int, excluded: frozenset[int]) -> tuple:
+    """The h-factors ``h(T^(t_j - t_i))`` over ``j`` in ``sub``, ``j != i``,
+    less the ``excluded`` indices; memoized, since the recipes of a kind and
+    of its complement share them."""
     wi = geo.proj_weight(i)
     return tuple(
         (geo.proj_weight(j) - wi, False) for j in sub if j != i and j not in excluded

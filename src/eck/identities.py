@@ -37,12 +37,10 @@ full-torus sum.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import groupby
 from math import lcm
-from operator import or_
 from typing import Callable
 
 from .algebra import (
@@ -387,9 +385,22 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     geo = cls.geometry
     arity = geo.arity
     nodes = geo.indices
-    values = [v for v in cls.values.values() if not v.is_zero]
-    factors = list(reduce(or_, (Counter(v.den) for v in values), Counter()).elements())
-    chars = {key[1:] for v in values for key in v.num.terms}
+    most: dict[Character, int] = {}  # each weight at its largest multiplicity
+    chars: set[tuple[int, ...]] = set()
+    scale, total = 1, 0
+    for value in cls.values.values():
+        if value.is_zero:
+            continue
+        for w, run in groupby(value.den):  # the denominator is stored sorted
+            k = len(tuple(run))
+            if k > most.get(w, 0):
+                most[w] = k
+        for key, c in value.num.terms.items():
+            chars.add(key[1:])
+            if type(c) is not int:
+                scale = lcm(scale, c.denominator)
+            total += abs(c)
+    factors = [w for w, k in most.items() for _ in range(k)]
     lo, hi = weight_box(factors, arity)
     for k, column in enumerate(zip(*chars)):
         lo[k] += min(0, *column)
@@ -397,8 +408,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     for k in range(1, arity):
         lo[k], hi[k] = min(lo[k], -1), max(hi[k], 1)
     box = PackedBox(lo, hi, 1)
-    scale = lcm(*(c.denominator for v in values for c in v.num.terms.values()))
-    mass = int(scale * sum(abs(c) for v in values for c in v.num.terms.values()))
+    mass = int(scale * total)
     width = (mass * (2 ** len(factors) + 4 ** len(factors))).bit_length() + 1
     packed = {e: box.key(e) for e in chars}
     keys = [box.key(geo.proj_weight(j).coeffs) for j in nodes]
@@ -423,10 +433,12 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     for level in range(1, len(nodes)):
         for b in range(len(nodes) - 1, level - 1, -1):
             a = b - level
-            high, low = table[b], table[b - 1]
-            step = {k - keys[b]: c - low.get(k, 0) for k, c in high.items()}
-            step.update({k - keys[b]: -c for k, c in low.items() if k not in high})
-            quotient = _over_one_minus(step, keys[a] - keys[b])
+            back = keys[b]
+            step = {k - back: -c for k, c in table[b - 1].items()}
+            for k, c in table[b].items():
+                k -= back
+                step[k] = step.get(k, 0) + c
+            quotient = _over_one_minus(step, keys[a] - back)
             if quotient is None:
                 raise ResidualTDependence(
                     f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "

@@ -13,14 +13,44 @@ coordinates indexed ``(-m, ..., -1, 1, ..., m)``; for ``n = 2m + 1`` it is
 
 Characters always have arity ``m + 1`` (``t`` plus ``t_1..t_m``), even for
 purely projective data, so projective and affine computations for the same
-``n`` share one lattice.
+``n`` share one lattice.  The index set and the weights depend on ``n``
+alone: each is built once per ``n`` and shared, read-only, by every
+:class:`GeometryConfig` of that ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import Character
+
+
+@cache
+def _indices(n: int) -> tuple[int, ...]:
+    """The coordinate indices for ``n``, in order."""
+    m = n // 2
+    return tuple(range(-m, 0)) + ((0,) if n % 2 else ()) + tuple(range(1, m + 1))
+
+
+@cache
+def _weights(n: int) -> Mapping[int, tuple[Character, Character]]:
+    """``j -> (t_j, t + t_j)`` over the indices for ``n``."""
+    arity = n // 2 + 1
+    proj = {0: Character.zero(arity)} if n % 2 else {}
+    for i in range(1, arity):
+        proj[i] = Character.basis(arity, i)
+        proj[-i] = -proj[i]
+    t = Character.basis(arity, 0)
+    return MappingProxyType({j: (w, t + w) for j, w in proj.items()})
+
+
+def _clear_tables() -> None:
+    """Empty the per-``n`` tables."""
+    _indices.cache_clear()
+    _weights.cache_clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +83,7 @@ class GeometryConfig:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        neg = tuple(range(-self.m, 0))
-        pos = tuple(range(1, self.m + 1))
-        return neg + ((0,) if self.odd else ()) + pos
+        return _indices(self.n)
 
     def indices_for(self, nsub: int) -> tuple[int, ...]:
         """Indices of the coordinate subspace spanned by the first ``nsub``
@@ -65,8 +93,7 @@ class GeometryConfig:
             raise ValueError(f"subspace size {nsub} out of range for n={self.n}")
         if nsub % 2 != self.n % 2:
             raise ValueError(f"subspace size {nsub} has wrong parity for n={self.n}")
-        msub = nsub // 2
-        return tuple(j for j in self.indices if abs(j) <= msub)
+        return _indices(nsub)
 
     # -- characters -----------------------------------------------------
 
@@ -74,25 +101,21 @@ class GeometryConfig:
     def t(self) -> Character:
         return Character.basis(self.arity, 0)
 
-    def pair_char(self, i: int) -> Character:
-        if not 1 <= i <= self.m:
-            raise ValueError(f"pair index {i} out of range 1..{self.m}")
-        return Character.basis(self.arity, i)
+    def _weight_pair(self, j: int) -> tuple[Character, Character]:
+        pair = _weights(self.n).get(j)
+        if pair is None:
+            if j == 0:
+                raise ValueError("index 0 occurs only for odd n")
+            raise ValueError(f"index {j} out of range for n={self.n}")
+        return pair
 
     def proj_weight(self, j: int) -> Character:
         """The weight t_j of projective coordinate x_j (t_{-i} = -t_i, t_0 = 0)."""
-        if j == 0:
-            if not self.odd:
-                raise ValueError("index 0 occurs only for odd n")
-            return Character.zero(self.arity)
-        if abs(j) > self.m:
-            raise ValueError(f"index {j} out of range for n={self.n}")
-        c = self.pair_char(abs(j))
-        return c if j > 0 else -c
+        return self._weight_pair(j)[0]
 
     def affine_weight(self, j: int) -> Character:
         """The weight t + t_j of affine coordinate x_j."""
-        return self.t + self.proj_weight(j)
+        return self._weight_pair(j)[1]
 
     def tangent_weights(self, i: int) -> tuple[Character, ...]:
         """Tangent weights {t_j - t_i : j != i} of P^{n-1} at the fixed

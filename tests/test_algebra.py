@@ -25,6 +25,7 @@ from eck.algebra import (
     RatExpr,
     SparsePoly,
     _add_into,
+    _flat_over_one_minus,
     _norm,
     _over_one_minus,
     _times_binomial,
@@ -685,6 +686,35 @@ def test_packed_division_undoes_times_one_minus(f, step):
     assert _over_one_minus(_times_binomial(f, step, -1), step) == f
 
 
+_packed_coeffs = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(-20, 20), _packed_coeffs, max_size=8),
+    st.integers(-6, 6).filter(bool),
+    st.booleans(),
+    st.dictionaries(st.integers(-20, 20), _packed_coeffs, max_size=2),
+)
+def test_packed_division_agrees_with_the_flat_division(f, step, product, extra):
+    """On any dividend the packed division refuses exactly when the flat one
+    on the same terms keyed ``(0, k)`` raises NotDivisible, and otherwise
+    gives its quotient, for either sign of the step.  The dividends are
+    arbitrary terms, or a product by ``1 - z^step`` with a few terms added;
+    either may hold zero coefficients, as a step of the Newton table may."""
+    if product:
+        f = _times_binomial({k: c for k, c in f.items() if c}, step, -1)
+        for k, c in extra.items():
+            f[k] = f.get(k, 0) + c
+    quotient = _over_one_minus(f, step)
+    try:
+        flat = _flat_over_one_minus({(0, k): c for k, c in f.items()}, (step,))
+    except NotDivisible:
+        assert quotient is None
+    else:
+        assert quotient == {k: c for (_, k), c in flat.items()}
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_division_refuses_a_remainder(sign):
     assert _over_one_minus({0: 1, 1: 1}, 2 * sign) is None  # 1 + z over 1 - z^{+-2}
@@ -743,10 +773,12 @@ def test_witness_reports_the_first_separating_point():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3).flatmap(_polys), st.fractions(-3, 3, max_denominator=4))
+@given(st.integers(1, 3).flatmap(_polys), st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
 def test_subs_y_substitutes_term_by_term(p, value):
     """``subs_y`` computes each power of the value once; the result is the
-    sum of ``c * value^k`` over the terms, collected by character."""
+    sum of ``c * value^k`` over the terms, collected by character.  An
+    integral value (``y = 0`` and ``y = -1`` in the table) is drawn as an
+    int as well as a Fraction."""
     want: dict = {}
     for (ypow, *e), c in p.terms.items():
         want[(0, *e)] = want.get((0, *e), 0) + c * value**ypow

@@ -279,6 +279,27 @@ def test_lift_keeps_y_in_the_coefficient(monkeypatch):
     assert 0 < max(size for size, _ in calls) <= 400, calls
 
 
+def test_chi_y_builds_characters_once_per_geometry(monkeypatch):
+    """A work-count guard: the index set and the weights for ``n`` are built
+    once and shared, and a tangent product once per recipe, so ``chi_y`` of
+    Q_9 from cleared caches constructs 227 characters (566 when every
+    weight lookup built its own)."""
+    from eck.hirzebruch import affine_class
+
+    projective_class.cache_clear()
+    affine_class.cache_clear()
+    built = []
+    post_init = Character.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Character, "__post_init__", counted)
+    assert chi_y("Q", 9).y_coefficients() == genus_closed_form("Q", 9)
+    assert 0 < len(built) <= 400, len(built)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_integration_keeps_the_node_keys_apart(n):
     """The value 1 at ``p_1`` and 0 elsewhere sums to 1.  It has no
