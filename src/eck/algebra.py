@@ -259,18 +259,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> SparsePoly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = SparsePoly.one(self.arity)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def shifted(self, char: Character, ypow: int = 0, coeff: Coeff = 1) -> SparsePoly:
         """Multiply by the monomial ``coeff * T^char * y^ypow``."""
         if char.arity != self.arity:
@@ -353,7 +341,7 @@ class SparsePoly:
         on the terms.
 
         >>> T = SparsePoly.monomial(Character((1,)))
-        >>> (1 - T**3).div_by_one_minus(Character((1,)))
+        >>> (1 - T * T * T).div_by_one_minus(Character((1,)))
         1 + T + T^2
         """
         if w.is_zero():

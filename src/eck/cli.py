@@ -171,14 +171,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_compute(config: RunConfig, n: int) -> tuple[list, bool]:
+    point = "p_{{{}}}" if config.format == "latex" else "p_{}"  # LaTeX braces a negative index
     if config.kind in PROJECTIVE_KINDS:
         cls = projective_class(config.kind, n)
-    else:
-        cls = affine_class(config.kind, n)
-    point = "p_{{{}}}" if config.format == "latex" else "p_{}"  # LaTeX braces a negative index
-    if cls.is_projective:
         entries = [(point.format(i), cls.values[i], cls.recipes[i]) for i in cls.geometry.indices]
     else:
+        cls = affine_class(config.kind, n)
         entries = [("origin", cls.at_origin, cls.recipes)]
     if config.format == "json":
         values = [

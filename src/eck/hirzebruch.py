@@ -176,15 +176,13 @@ def _shared(expr: RatExpr) -> RatExpr:
 
 
 def _cache_clear(build) -> Callable[[], None]:
-    """Empty the cache of ``build``, the interning table, the memos of
-    :func:`_tangent_product` and :func:`_node_index`, and the per-``n``
-    tables of the torus layer."""
+    """Empty the cache of ``build``, the interning table, the memo of
+    :func:`_tangent_product` and the per-``n`` tables of the torus layer."""
 
     def cache_clear() -> None:
         build.cache_clear()
         _INTERNED.clear()
         _tangent_product.cache_clear()
-        _node_index.cache_clear()
         _clear_tables()
 
     return cache_clear
@@ -399,12 +397,6 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 affine_class.cache_clear = _cache_clear(_build_affine)
 
 
-@cache
-def _node_index(geo: GeometryConfig) -> Mapping[tuple[int, ...], int]:
-    """``t_j -> j`` over the fixed points of P^{n-1}, in index order."""
-    return MappingProxyType({geo.proj_weight(j).coeffs: j for j in geo.indices})
-
-
 def _restriction_factors(cls: LocalClass, i: int) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
     """``(shift, sign, others)`` on exponent tuples with ``g_i = sign *
     T^shift * num_i * prod_{t_j in others} (x_i - x_j)``, ``num_i`` the
@@ -414,7 +406,7 @@ def _restriction_factors(cls: LocalClass, i: int) -> tuple[tuple[int, ...], int,
     found by lookup; canonical factors ``v != v'`` never compete for a
     ``j``."""
     geo = cls.geometry
-    index = _node_index(geo)
+    index = {geo.proj_weight(j).coeffs: j for j in geo.indices}
     weights = {j: w for w, j in index.items()}
     ti = weights.pop(i)
     sign, left = 1, []
@@ -525,7 +517,7 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
                     "leaves a remainder; the values are not a class"
                 ) from None
     cx = [(0,) + geo.affine_weight(j).coeffs for j in nodes]
-    acc = _shifted(table[-1], cx[-1])
+    acc = _shifted(table[-1], cx[-1]) if table else {}  # the empty space (Q_0, Qc_0) pushes forward to 0
     for k in range(n - 2, -1, -1):
         acc = _times_two_monomials(acc, None, cx[k], -1)
         _add_into(acc, _shifted(table[k], (0,) + geo.t.scaled(n - 1 - k).coeffs))

@@ -203,13 +203,16 @@ def closed_form_expr(n: int) -> RatExpr:
     t = Character.basis(1, 0)
     one_plus_yt = SparsePoly.one(1) + SparsePoly.monomial(t, 1)  # 1 + y*T
     t2 = SparsePoly.monomial(t.scaled(2))  # T^2
-    one_plus_y_sq = (SparsePoly.one(1) + SparsePoly.y_power(1)) ** 2
+    one_plus_y = SparsePoly.one(1) + SparsePoly.y_power(1)
+    one_plus_y_sq = one_plus_y * one_plus_y
+    power = one_plus_yt if odd else SparsePoly.one(1)  # (1 + yT)^expo, expo = 2i - 1 or 2i - 2
     total = RatExpr.zero(1)
     for i in range(1, m + 1):
         ypart = SparsePoly.y_power(1, m - i, (-1) ** (m - i))
         expo = 2 * i - 1 if odd else 2 * i - 2
-        num = one_plus_y_sq * t2 * ypart * one_plus_yt**expo
+        num = one_plus_y_sq * t2 * ypart * power
         total = total + RatExpr(num, (t,) * (expo + 2))
+        power = power * one_plus_yt * one_plus_yt
     if odd:
         num = SparsePoly.y_power(1, m, (-1) ** m) * (SparsePoly.y_power(1) + 1) * SparsePoly.monomial(t)
         total = total + RatExpr(num, (t,))
@@ -445,7 +448,7 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
                     "leaves a remainder; the values are not a class"
                 )
             table[b] = quotient
-    total = table[-1]
+    total = table[-1] if table else {}  # the empty space (Q_0, Qc_0) integrates to 0
     leftover = min((k for k in total if k), default=0)
     if leftover:
         ypow, c = next(iter(_balanced_digits(total[leftover], width).items()))

@@ -102,24 +102,19 @@ class SPolynomial:
                 raise ValueError("arity needed for a weight-free polynomial")
             arity = (self.weights + self.den)[0].arity
         delta = SparsePoly.constant(arity, -1) - SparsePoly.y_power(arity)
-        svars = [SparsePoly.monomial(w, 0, 1) - 1 for w in self.weights]
-        powers: dict[tuple[int, int], SparsePoly] = {}
-
-        def power(i: int, e: int) -> SparsePoly:
-            base = delta if i < 0 else svars[i]
-            got = powers.get((i, e))
-            if got is None:
-                got = powers[(i, e)] = base**e
-            return got
-
+        bases = [delta] + [SparsePoly.monomial(w, 0, 1) - 1 for w in self.weights]
+        rows = []  # rows[i][e] = bases[i]^e, one product per entry
+        for i, base in enumerate(bases):
+            row = [SparsePoly.one(arity)]
+            for _ in range(max((key[i] for key in self.terms), default=0)):
+                row.append(row[-1] * base)
+            rows.append(row)
         num: Flat = {}
         for key, c in self.terms.items():
             part = SparsePoly.constant(arity, c)
-            if key[0]:
-                part = part * power(-1, key[0])
-            for i, e in enumerate(key[1:]):
+            for row, e in zip(rows, key):
                 if e:
-                    part = part * power(i, e)
+                    part = part * row[e]
             _add_into(num, part.terms)
         sign = -1 if len(self.den) % 2 else 1
         return RatExpr(SparsePoly(arity, {k: _norm(sign * c) for k, c in num.items()}), self.den)

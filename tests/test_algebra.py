@@ -563,7 +563,7 @@ def test_reduced_matches_greedy_loop_on_class_sums():
 def test_reduced_keeps_the_pass_order():
     u = Character((1,))
     T = mono(1)
-    e = RatExpr((1 - T) * (1 - T**2), (u, u, u.scaled(2)))
+    e = RatExpr((1 - T) * (1 - T * T), (u, u, u.scaled(2)))
     r = e.reduced()
     assert str(r) == "1 / (1 - T)"
     assert _same(r, _greedy_reduced(e))

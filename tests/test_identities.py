@@ -10,7 +10,7 @@ from bench_loader import load_bench
 from eck import identities
 
 from eck.algebra import Character, RatExpr, SparsePoly
-from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, projective_class
+from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, affine_class, cone_pushforward, projective_class
 from eck.identities import (
     FORMULAS,
     ResidualTDependence,
@@ -357,6 +357,17 @@ def test_integration_matches_full_torus_fold(kind):
 def test_genus_closed_forms(kind):
     for n in range(1 if kind == "P" else 2, 13):
         assert chi_y(kind, n).y_coefficients() == genus_closed_form(kind, n), (kind, n)
+
+
+@pytest.mark.parametrize("kind, n, want", [("P", 1, "1"), ("Q", 0, "0"), ("Qc", 0, "0"), ("X", 2, "2"), ("Xc", 2, "-1 - y")])
+def test_every_kind_at_its_floor(kind, n, want):
+    """``chi_y`` at the least ``n`` each projective kind accepts; the empty
+    space Q_0 = Qc_0 has no fixed point, integrates to 0 and pushes forward
+    to 0, the class of CCQ_0 at the origin."""
+    assert str(chi_y(kind, n)) == want
+    if n == 0:
+        assert chi_y(kind, n) == SparsePoly.zero(1)
+        assert cone_pushforward(projective_class(kind, n)) == RatExpr.zero(1) == affine_class("CCQ", 0).at_origin
 
 
 def test_chi_guards():
