@@ -214,7 +214,7 @@ def closed_form_expr(n: int) -> RatExpr:
         total = total + RatExpr(num, (t,) * (expo + 2))
         power = power * one_plus_yt * one_plus_yt
     if odd:
-        num = SparsePoly.y_power(1, m, (-1) ** m) * (SparsePoly.y_power(1) + 1) * SparsePoly.monomial(t)
+        num = SparsePoly.y_power(1, m, (-1) ** m) * one_plus_y * SparsePoly.monomial(t)
         total = total + RatExpr(num, (t,))
     return total
 
