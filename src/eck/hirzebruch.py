@@ -46,15 +46,18 @@ from typing import Callable, Iterable, Mapping
 
 from .algebra import (
     Character,
+    Coeff,
     DivisionByZero,
     Flat,
     NotDivisible,
+    PackedBox,
     RatExpr,
     SparsePoly,
     _add_into,
-    _flat_over_one_minus,
     _norm,
+    _over_one_minus,
     _shifted,
+    _times_binomial,
     _times_two_monomials,
 )
 from .render import weight_text
@@ -397,54 +400,73 @@ def affine_class(kind: str, n: int, ambient: GeometryConfig | None = None) -> Lo
 affine_class.cache_clear = _cache_clear(_build_affine)
 
 
-def _restriction_factors(cls: LocalClass, i: int) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
-    """``(shift, sign, others)`` on exponent tuples with ``g_i = sign *
-    T^shift * num_i * prod_{t_j in others} (x_i - x_j)``, ``num_i`` the
-    numerator of ``values[i]``, for the ``g_i`` of :func:`_restriction`.
-    The weights ``t_j`` are distinct, so the one ``j`` that can take a
-    denominator factor ``v`` as ``v = t_j - t_i`` or as ``v = t_i - t_j`` is
-    found by lookup; canonical factors ``v != v'`` never compete for a
-    ``j``."""
-    geo = cls.geometry
-    index = {geo.proj_weight(j).coeffs: j for j in geo.indices}
-    weights = {j: w for w, j in index.items()}
-    ti = weights.pop(i)
-    sign, left = 1, []
-    for v in cls.values[i].den:
-        j = index.get(tuple(map(add, ti, v.coeffs)))
-        if j in weights:
-            del weights[j]
-            left.append(ti)
-        elif (j := index.get(tuple(map(sub, ti, v.coeffs)))) in weights:
-            left.append(weights.pop(j))
-            sign = -sign
-        else:
-            raise ValueError(
-                f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(v)}) "
-                f"is not a tangent weight of P^{geo.n - 1} there"
-            )
-    return tuple(map(sum, zip(*left))) if left else (0,) * geo.arity, sign, list(weights.values())
+def _newton_table(cls: LocalClass, box: PackedBox, pack: Callable[[Flat, int], dict[int, Coeff]]) -> list[dict[int, Coeff]]:
+    """The packed Newton coefficients ``G_k = g[x_1..x_k]``, ``k = 1..n``,
+    of ``g_i = values[i] * prod_{j != i} (x_i - x_j)`` at the nodes
+    ``x_j = T^{t_j}`` in index order (Knutson-Rosu), on the keys of ``box``;
+    ``pack(terms, sign)`` packs ``sign`` times one numerator, given by its
+    flat terms, in one pass.  ``box`` must give the node weights pairwise
+    distinct keys ``k_j``.
 
-
-def _restriction(cls: LocalClass, i: int) -> Flat:
-    """``g_i = values[i] * prod_{j != i} (x_i - x_j)`` with ``x_j = T^{t_j}``,
-    on flat exponent keys: the class restricted to ``p_i`` (the value times
-    ``prod (1 - T^w)`` over the tangent weights ``w``) times ``x_i^{n-1}``.
-
-    With ``w = t_j - t_i``, ``x_i - x_j = x_i (1 - T^w) = -x_j (1 - T^{-w})``.
-    Each factor ``1 - T^v`` of the value's (sign-canonical) denominator is
-    taken by the one ``j`` with ``v = w``, which leaves the monomial ``x_i``,
-    or ``v = -w``, which leaves ``-x_j``; every other ``j`` multiplies by
-    ``x_i - x_j`` (:func:`_restriction_factors`).  Nothing is divided.  A
-    denominator factor that no tangent weight takes raises ValueError naming
-    the point.
+    * **Restriction.** ``1 - T^{t_j - t_i} = (x_i - x_j)/x_i``, so ``g_i``
+      is the class restricted to ``p_i`` (the value times ``prod (1 - T^w)``
+      over the tangent weights ``w``) times ``x_i^{n-1}``.  Each factor
+      ``1 - T^v`` of the value's (sign-canonical) denominator is taken by
+      the one ``j`` with ``v = t_j - t_i``, which leaves the monomial
+      ``x_i``, or ``v = t_i - t_j``, which leaves ``-x_j`` (the ``t_j`` are
+      distinct, so a lookup finds that ``j``, and canonical factors
+      ``v != v'`` never compete for one); every other ``j`` multiplies by
+      ``x_i - x_j = z^k_i (1 - z^(k_j - k_i))``, one shift-and-subtract.
+      Nothing is divided.  A denominator factor that no tangent weight
+      takes raises ValueError naming the point.
+    * **Table.** Built in place:
+      ``g[x_a..x_b] = (g[x_{a+1}..x_b] - g[x_a..x_{b-1}]) / (x_b - x_a)``
+      with ``x_b - x_a = x_b (1 - T^{t_a - t_b})``, i.e. a shift by
+      ``-k_b`` and one exact division by ``1 - z^(k_a - k_b)``.  A step
+      that leaves a remainder raises NotDivisible naming the space and the
+      step's end nodes.
     """
-    shift, sign, others = _restriction_factors(cls, i)
-    ti = (0,) + cls.geometry.proj_weight(i).coeffs
-    acc = cls.values[i].num.terms
-    for tj in others:
-        acc = _times_two_monomials(acc, ti, (0,) + tj, -1)
-    return _shifted(acc, (0,) + shift, sign)
+    geo = cls.geometry
+    nodes = geo.indices
+    index = {geo.proj_weight(j).coeffs: j for j in nodes}
+    keys = {j: box.key(w) for w, j in index.items()}
+    table = []
+    for i in nodes:
+        ti, ki, others = geo.proj_weight(i).coeffs, keys[i], dict.fromkeys(j for j in nodes if j != i)
+        sign, offset = 1, 0
+        for v in cls.values[i].den:
+            if (j := index.get(tuple(map(add, ti, v.coeffs)))) in others:
+                offset += ki
+            elif (j := index.get(tuple(map(sub, ti, v.coeffs)))) in others:
+                offset += keys[j]
+                sign = -sign
+            else:
+                raise ValueError(
+                    f"{cls.space} (n={cls.n}) at p_{i}: denominator factor 1 - T^({weight_text(v)}) "
+                    f"is not a tangent weight of P^{geo.n - 1} there"
+                )
+            del others[j]
+        part = pack(cls.values[i].num.terms, sign)
+        for j in others:
+            part = _times_binomial(part, keys[j] - ki, -1)
+        offset += len(others) * ki
+        table.append({k + offset: c for k, c in part.items()})
+    for level in range(1, len(nodes)):
+        for b in range(len(nodes) - 1, level - 1, -1):
+            a = b - level
+            back = keys[nodes[b]]
+            step = {k - back: -c for k, c in table[b - 1].items()}
+            for k, c in table[b].items():
+                k -= back
+                step[k] = step.get(k, 0) + c
+            quotient = _over_one_minus(step, keys[nodes[a]] - back)
+            if quotient is None:
+                raise NotDivisible(
+                    f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
+                    "leaves a remainder; the values are not a class"
+                )
+            table[b] = quotient
+    return table
 
 
 def cone_pushforward(cls: LocalClass) -> RatExpr:
@@ -457,40 +479,50 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     to zero.  Precondition: the values form a class on P^{n-1}, that is,
     each value's denominator factors are tangent weights at its point and
     the values restrict one equivariant K-theory class.  Input that is not
-    a class raises.
+    a class raises NotDivisible, naming the first step the packed table
+    refuses (or the first Newton coefficient that leaves its box), or the
+    ValueError of a denominator factor that is no tangent weight.
 
-    The sum is taken through Newton divided differences at the nodes
-    ``x_j = T^{t_j}``, ``j`` in index order, with ``c = T^t``
-    (Anderson-Fulton; Knutson-Rosu):
+    The sum is taken through the Newton coefficients ``G_k`` of
+    :func:`_newton_table`, with ``c = T^t`` (Anderson-Fulton):
 
-    * **Restriction.** ``1 - T^{t_j - t_i} = (x_i - x_j)/x_i``, so
-      ``values[i] = g_i / prod_{j != i} (x_i - x_j)`` for the Laurent
-      polynomial ``g_i`` of :func:`_restriction`, and ``sum_i values[i]``
-      is the top divided difference ``g[x_1..x_n]``.
     * **Divided differences.** ``K_T(P^{n-1}) = R(T)[L] / prod_j (L - x_j)``
       with ``L`` restricting to ``x_j`` at ``p_j``, so ``g_i = P(x_i)`` for
-      one ``P`` in ``R(T)[L]``.  Each divided difference of ``L^k`` is a
-      complete symmetric polynomial in its nodes, so every entry
-      ``g[x_a..x_b]`` is a Laurent polynomial.  The table is built in
-      place, nodes in index order:
-      ``g[x_a..x_b] = (g[x_{a+1}..x_b] - g[x_a..x_{b-1}]) / (x_b - x_a)``
-      with ``x_b - x_a = x_b (1 - T^{t_a - t_b})``, i.e. a shift by
-      ``-t_b`` and one exact division by ``1 - T^{t_a - t_b}``.  For
-      values that are not a class a step leaves a remainder, and
-      NotDivisible names the space and the step's end nodes.
+      one ``P`` in ``R(T)[L]`` and ``sum_i values[i] = g[x_1..x_n]``.  Each
+      divided difference of ``L^k`` is a complete symmetric polynomial in
+      its nodes, so every entry of the table is a Laurent polynomial.
+    * **Box.** The table runs in the packed ring of a
+      :class:`~eck.algebra.PackedBox` keyed on ``T`` and ``y``: the
+      numerators' bounding box ``B`` (``ystride`` one more than their
+      largest y-degree), widened by ``3(n-1)`` in each pair coordinate.
+      Every node weight lies in ``[-1, 1]`` there and in 0 in ``t``, so a
+      ``g_i`` (``n - 1`` monomial or binomial factors) lies in ``B + (n-1)``,
+      and for a class each level of the table (one shift by ``-t_b``, and
+      an exact quotient by ``1 - T^w`` lies in its dividend's box) adds at
+      most 1 more: every ``G_k`` of a class lies in ``B + 2(n-1)``.
+    * **Decode.** Each ``G_k`` is unpacked once, and one with a monomial
+      outside ``B + 2(n-1)`` raises NotDivisible.  This check proves the
+      result: every packed step divides exactly, so Newton's formula
+      ``g_i = sum_k G_k prod_{j<k} (x_i - x_j)`` holds in the packed ring,
+      and each decoded ``G'_k`` packs back to its entry.  With every
+      ``G'_k`` in ``B + 2(n-1)``, both sides lie in ``B + 3(n-1)``, where
+      the packing is injective, so the formula holds on flat keys.  The
+      ``G'_k`` are then the true Newton coefficients, all Laurent, and the
+      values are a class.  For a class, packing keeps each exact division
+      exact and quotients are unique, so nothing is refused.  (Packed
+      divisions alone can succeed on input that is not a class.)
     * **Leibniz.** ``h(T^{t + t_i}) - 1 = (1 + y)(psi(x_i) - 1)`` with
       ``psi(L) = 1/(1 - cL)``, whose divided differences are
       ``psi[x_k..x_n] = c^{n-k} / prod_{j>=k} (1 - c x_j)``.  By Leibniz'
-      rule ``(g psi)[x_1..x_n] = sum_k G_k psi[x_k..x_n]`` with the Newton
-      coefficients ``G_k = g[x_1..x_k]``, so the pushforward is
-      ``(1 + y)(sum_k G_k psi[x_k..x_n] - G_n)``.
+      rule ``(g psi)[x_1..x_n] = sum_k G_k psi[x_k..x_n]``, so the
+      pushforward is ``(1 + y)(sum_k G_k psi[x_k..x_n] - G_n)``.
     * **Horner.** Over ``prod_j (1 - c x_j) = prod_j (1 - T^{t + t_j})``
       its numerator is ``(1 + y) [sum_{k<n} G_k c^{n-k} prod_{j<k}
       (1 - c x_j) + G_n c x_n prod_{j<n} (1 - c x_j)]`` (the ``k = n`` term
       less ``G_n`` times the denominator).  From ``G_n c x_n``, each step
       multiplies by ``1 - c x_k`` and adds ``G_k c^{n-k}``, for
-      ``k = n-1, ..., 1``; then the sum is multiplied by ``1 + y``.  Only
-      two-monomial products occur.
+      ``k = n-1, ..., 1``, on flat keys; then the sum is multiplied by
+      ``1 + y``.  Only two-monomial products occur.
 
     So the restriction and Horner's rule divide nothing, every division of
     the table is exact or raises, and the final ``reduced()`` only cancels
@@ -501,21 +533,19 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     geo = cls.geometry
     nodes = geo.indices
     n = len(nodes)
-    weights = [geo.proj_weight(j) for j in nodes]
-    table = [_restriction(cls, i) for i in nodes]
-    for level in range(1, n):
-        for b in range(n - 1, level - 1, -1):
-            a = b - level
-            back = (0,) + (-weights[b]).coeffs
-            step = _shifted(table[b], back)
-            _add_into(step, _shifted(table[b - 1], back, -1))
-            try:
-                table[b] = _flat_over_one_minus(step, (weights[a] - weights[b]).coeffs)
-            except NotDivisible:
-                raise NotDivisible(
-                    f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
-                    "leaves a remainder; the values are not a class"
-                ) from None
+    columns = list(zip(*(key for value in cls.values.values() for key in value.num.terms))) or [(0,)] * (geo.arity + 1)
+    pad = [0] + [n - 1] * (geo.arity - 1)
+    lo = [min(column) - 2 * w for column, w in zip(columns[1:], pad)]
+    hi = [max(column) + 2 * w for column, w in zip(columns[1:], pad)]
+    box = PackedBox(list(map(sub, lo, pad)), list(map(add, hi, pad)), max(columns[0]) + 1)
+    table = _newton_table(cls, box, lambda terms, sign: {box.key(key[1:]) + key[0]: sign * c for key, c in terms.items()})
+    for k, entry in enumerate(table):
+        table[k] = entry = box.unpack(entry).terms
+        if not all(a <= e <= b for key in entry for a, e, b in zip(lo, key[1:], hi)):
+            raise NotDivisible(
+                f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[0]}..p_{nodes[k]} "
+                "leaves the box of a class; the values are not a class"
+            )
     cx = [(0,) + geo.affine_weight(j).coeffs for j in nodes]
     acc = _shifted(table[-1], cx[-1]) if table else {}  # the empty space (Q_0, Qc_0) pushes forward to 0
     for k in range(n - 2, -1, -1):

@@ -28,9 +28,9 @@ Formulas:
              direct CCQ_n / CCX_n classes.
 
 :func:`integrate_projective` sums the localized values over the fixed points
-to the chi_y polynomial as the top entry of the Newton divided-difference
-table of :func:`~eck.hirzebruch.cone_pushforward`, run in one packed
-variable; its docstring gives the steps and why the result is exactly the
+to the chi_y polynomial as the top entry of the packed Newton
+divided-difference table of :func:`~eck.hirzebruch._newton_table`, keyed on
+T alone; its docstring gives the box and why the result is exactly the
 full-torus sum.
 """
 
@@ -43,19 +43,11 @@ from itertools import groupby
 from math import lcm
 from typing import Callable
 
-from .algebra import (
-    Character,
-    PackedBox,
-    RatExpr,
-    SparsePoly,
-    _over_one_minus,
-    _times_binomial,
-    weight_box,
-)
+from .algebra import Character, NotDivisible, PackedBox, RatExpr, SparsePoly, weight_box
 from .hirzebruch import (
     LocalClass,
     ProductTerm,
-    _restriction_factors,
+    _newton_table,
     affine_class,
     ccq_terms,
     cone_pushforward,
@@ -335,12 +327,11 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     The sum is the pushforward to a point, so all T-dependence must cancel;
     the result is the chi_y polynomial of the space.
 
-    The sum is the top entry ``g[x_1..x_n]`` of the Newton divided-difference
-    table of :func:`~eck.hirzebruch.cone_pushforward`: nodes ``x_j = T^{t_j}``
-    in index order, inputs ``g_i = values[i] * prod_{j != i} (x_i - x_j)``
-    built from :func:`~eck.hirzebruch._restriction_factors`.  It runs in one
-    variable through the packed ring of :class:`~eck.algebra.PackedBox` on T
-    alone, sized from the data, with y kept in the coefficient.  Let ``L`` be
+    The sum is the top entry ``g[x_1..x_n]`` of the packed Newton table of
+    :func:`~eck.hirzebruch._newton_table`: nodes ``x_j = T^{t_j}`` in index
+    order, inputs ``g_i = values[i] * prod_{j != i} (x_i - x_j)``.  Here the
+    packed ring of :class:`~eck.algebra.PackedBox` keys T alone, sized from
+    the data, with y kept in the coefficient.  Let ``L`` be
     the common denominator (each weight at its largest multiplicity over the
     points), ``D = prod_{w in L} (1 - T^w)`` and
     ``N = sum_i num_i * prod_{w in L - den_i} (1 - T^w)``, so the sum is
@@ -355,12 +346,10 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     and ``|L|`` factors, the slot width is
     ``B = bitlen(M * (2^|L| + 4^|L|)) + 1``.
 
-    Each ``x_i - x_j`` of ``g_i`` is ``z^k_i (1 - z^(k_j - k_i))`` with
-    ``k_j = key(t_j)``, one shift-and-subtract.  A step of the table shifts
-    by ``-k_b``, subtracts and divides exactly by ``1 - z^(k_a - k_b)``.
-    For a class every step divides over the full torus, and packing keeps an
-    exact division exact, so a step that leaves a remainder, like a
-    denominator factor that is no tangent weight at its point, raises
+    For a class every step of the table divides over the full torus, and
+    packing keeps an exact division exact, so a step that leaves a
+    remainder, like a denominator factor that is no tangent weight at its
+    point, raises
     :class:`ResidualTDependence`: the values are not a class.  It is raised
     as well unless the top entry is the key 0 alone, whose balanced
     base-``2^B`` digits are the coefficients of ``P(y)``.
@@ -387,7 +376,6 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
         raise ValueError("integration over fixed points applies to projective classes")
     geo = cls.geometry
     arity = geo.arity
-    nodes = geo.indices
     most: dict[Character, int] = {}  # each weight at its largest multiplicity
     chars: set[tuple[int, ...]] = set()
     scale, total = 1, 0
@@ -414,40 +402,20 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     mass = int(scale * total)
     width = (mass * (2 ** len(factors) + 4 ** len(factors))).bit_length() + 1
     packed = {e: box.key(e) for e in chars}
-    keys = [box.key(geo.proj_weight(j).coeffs) for j in nodes]
 
-    def restriction(b: int) -> dict[int, int]:
-        """``g_i`` at ``i = nodes[b]`` times ``scale``, y-powers in
+    def pack(terms: dict, sign: int) -> dict[int, int]:
+        """``sign`` times a numerator times ``scale``, y-powers in
         ``width``-bit slots."""
-        shift, sign, others = _restriction_factors(cls, nodes[b])
         part: dict[int, int] = {}
-        for key, c in cls.values[nodes[b]].num.terms.items():
+        for key, c in terms.items():
             k = packed[key[1:]]
             part[k] = part.get(k, 0) + (int(sign * c * scale) << width * key[0])
-        for tj in others:
-            part = _times_binomial(part, box.key(tj) - keys[b], -1)
-        offset = box.key(shift) + len(others) * keys[b]
-        return {k + offset: c for k, c in part.items()}
+        return part
 
     try:
-        table = [restriction(b) for b in range(len(nodes))]
-    except ValueError as err:
+        table = _newton_table(cls, box, pack)
+    except (NotDivisible, ValueError) as err:
         raise ResidualTDependence(str(err)) from None
-    for level in range(1, len(nodes)):
-        for b in range(len(nodes) - 1, level - 1, -1):
-            a = b - level
-            back = keys[b]
-            step = {k - back: -c for k, c in table[b - 1].items()}
-            for k, c in table[b].items():
-                k -= back
-                step[k] = step.get(k, 0) + c
-            quotient = _over_one_minus(step, keys[a] - back)
-            if quotient is None:
-                raise ResidualTDependence(
-                    f"{cls.space} (n={cls.n}): the divided difference over p_{nodes[a]}..p_{nodes[b]} "
-                    "leaves a remainder; the values are not a class"
-                )
-            table[b] = quotient
     total = table[-1] if table else {}  # the empty space (Q_0, Qc_0) integrates to 0
     leftover = min((k for k in total if k), default=0)
     if leftover:

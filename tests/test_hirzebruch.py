@@ -3,6 +3,7 @@ origin values of the cone family, with the frozen per-point product forms,
 and the process-wide cache that shares each built class."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -318,7 +319,7 @@ def _pushforward_point_by_point(cls) -> RatExpr:
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("kind", ["Qc", "Xc"])
+@pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
 def test_paired_pushforward_equals_the_point_by_point_fold(kind, n):
     cls = projective_class(kind, n)
     paired, folded = cone_pushforward(cls), _pushforward_point_by_point(cls)
@@ -346,24 +347,90 @@ def test_paired_pushforward_with_one_end_of_a_pair_zero(n):
     )
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 12))
 def test_pushforward_is_the_direct_cone_complement_class(n):
     for open_kind, cone_kind in (("Qc", "CCQ"), ("Xc", "CCX")):
         got = cone_pushforward(projective_class(open_kind, n))
         assert got.equivalent(affine_class(cone_kind, n).at_origin), (open_kind, n)
 
 
+def _perturbed(seed: int):
+    """A projective class with one value changed, drawn from ``seed``: the
+    value zeroed, ``y^k T^e`` or ``y^k (T^e - T^e')`` over a subset of the
+    point's tangent weights added, or another point's value added.  The result may or may not be a class."""
+    from eck.hirzebruch import LocalClass
+
+    rng = random.Random(seed)
+    kind, n = rng.choice(PROJECTIVE_KINDS), rng.randint(3, 6)
+    geo = GeometryConfig(n)
+    values = dict(projective_class(kind, n).values)
+    i = rng.choice(geo.indices)
+    how = rng.randrange(4)
+    if how == 0:
+        values[i] = RatExpr.zero(geo.arity)
+    elif how == 3:
+        values[i] = values[i] + values[rng.choice([j for j in geo.indices if j != i])]
+    else:
+        num, k = SparsePoly.zero(geo.arity), rng.randint(0, 2)
+        for sign in (1, -1)[:how]:
+            e = Character((0,) + tuple(rng.randint(-2, 2) for _ in range(geo.arity - 1)))
+            num = num + SparsePoly.monomial(e, k, sign)
+        tangent = tuple(w for w in geo.tangent_weights(i) if rng.random() < 0.5)
+        values[i] = values[i] + RatExpr(num, tangent)
+    return LocalClass(geometry=geo, space=f"{kind} perturbed", n=n, values=values, recipes={j: () for j in geo.indices})
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_pushforward_raises_or_is_the_fold_on_perturbed_values(seed):
+    """Input that is not a class raises: either ``cone_pushforward`` raises
+    NotDivisible or ValueError, or its value is the point-by-point fold."""
+    cls = _perturbed(seed)
+    try:
+        got = cone_pushforward(cls)
+    except (NotDivisible, ValueError):
+        return
+    assert got.equivalent(_pushforward_point_by_point(cls))
+
+
+def test_a_newton_coefficient_outside_the_box_is_refused():
+    """``(T2 - T1) / (1 - T1^2)`` added to P_4 at p_1 is not a class (on flat
+    keys the step over p_-1..p_1 leaves a remainder), yet every packed
+    division succeeds, so the whole table is built; the decoded ``G_3``
+    leaves the box of a class."""
+    from eck.hirzebruch import LocalClass
+
+    geo = GeometryConfig(4)
+    values = dict(projective_class("P", 4).values)
+    values[1] = values[1] + RatExpr(SparsePoly.monomial(ch(0, 0, 1)) - SparsePoly.monomial(ch(0, 1, 0)), (ch(0, 2, 0),))
+    cls = LocalClass(geometry=geo, space="P off p_1", n=4, values=values, recipes={i: () for i in geo.indices})
+    with pytest.raises(NotDivisible) as err:
+        cone_pushforward(cls)
+    assert str(err.value) == (
+        "P off p_1 (n=4): the divided difference over p_-2..p_1 leaves the box of a class; the values are not a class"
+    )
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", PROJECTIVE_KINDS)
 def test_restriction_over_the_tangent_weights_is_the_value(kind, n):
-    """``g_i / x_i^{n-1}`` over ``prod (1 - T^w)`` (tangent weights w at p_i)
-    gives back the value at p_i."""
-    from eck.hirzebruch import _restriction
+    """The packed restriction ``g_i``, read back from the Newton table by
+    Newton's formula ``g_i = sum_k G_k prod_{j<k} (x_i - x_j)``, over
+    ``x_i^{n-1} prod (1 - T^w)`` (tangent weights w at p_i) gives back the
+    value at p_i.  The box is generous: every ``G_k`` lies in it."""
+    from eck.algebra import PackedBox
+    from eck.hirzebruch import _newton_table
 
     cls = projective_class(kind, n)
     geo = cls.geometry
-    for i in geo.indices:
-        restricted = SparsePoly.from_terms(geo.arity, _restriction(cls, i).items())
+    box = PackedBox([0] + [-4 * n] * (geo.arity - 1), [0] + [4 * n] * (geo.arity - 1), n + 1)
+    table = _newton_table(cls, box, lambda terms, sign: {box.key(k[1:]) + k[0]: sign * c for k, c in terms.items()})
+    newton = [box.unpack(entry) for entry in table]
+    nodes = [SparsePoly.monomial(geo.proj_weight(j)) for j in geo.indices]
+    for i, xi in zip(geo.indices, nodes):
+        restricted, basis = SparsePoly.zero(geo.arity), SparsePoly.one(geo.arity)
+        for coeff, xj in zip(newton, nodes):
+            restricted = restricted + coeff * basis
+            basis = basis * (xi - xj)
         lowered = restricted.shifted(geo.proj_weight(i).scaled(1 - n))
         assert RatExpr(lowered, geo.tangent_weights(i)).equivalent(cls.values[i]), (kind, n, i)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from bench_loader import load_bench
 
-from eck import identities
+from eck import hirzebruch, identities
 
 from eck.algebra import Character, RatExpr, SparsePoly
 from eck.hirzebruch import PROJECTIVE_KINDS, LocalClass, affine_class, cone_pushforward, projective_class
@@ -247,16 +247,17 @@ def test_integration_rejects_a_perturbation_the_pair_step_divides():
 
 def _recorded_divisions(monkeypatch) -> list[tuple[int, bool]]:
     """Record the packed divisions ``integrate_projective`` makes, in order,
-    as ``(dividend size, refused)``."""
+    as ``(dividend size, refused)``: its Newton table, in ``hirzebruch``,
+    looks up ``_over_one_minus`` there."""
     calls: list[tuple[int, bool]] = []
-    divide = identities._over_one_minus
+    divide = hirzebruch._over_one_minus
 
     def recorded(f, step):
         quotient = divide(f, step)
         calls.append((len(f), quotient is None))
         return quotient
 
-    monkeypatch.setattr(identities, "_over_one_minus", recorded)
+    monkeypatch.setattr(hirzebruch, "_over_one_minus", recorded)
     return calls
 
 
