@@ -480,7 +480,8 @@ def cone_pushforward(cls: LocalClass) -> RatExpr:
     each value's denominator factors are tangent weights at its point and
     the values restrict one equivariant K-theory class.  Input that is not
     a class raises NotDivisible, naming the first step the packed table
-    refuses (or the first Newton coefficient that leaves its box), or the
+    refuses (which can come after the first step a flat table would
+    refuse) or the first Newton coefficient that leaves its box, or the
     ValueError of a denominator factor that is no tangent weight.
 
     The sum is taken through the Newton coefficients ``G_k`` of

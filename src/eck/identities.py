@@ -349,10 +349,9 @@ def integrate_projective(cls: LocalClass) -> SparsePoly:
     For a class every step of the table divides over the full torus, and
     packing keeps an exact division exact, so a step that leaves a
     remainder, like a denominator factor that is no tangent weight at its
-    point, raises
-    :class:`ResidualTDependence`: the values are not a class.  It is raised
-    as well unless the top entry is the key 0 alone, whose balanced
-    base-``2^B`` digits are the coefficients of ``P(y)``.
+    point, raises :class:`ResidualTDependence`: the values are not a class.
+    It is raised as well unless the top entry is the key 0 alone, whose
+    balanced base-``2^B`` digits are the coefficients of ``P(y)``.
 
     A returned ``P(y)`` is exactly the full-torus sum.  Let ``psi`` map
     ``T^e y^k`` to ``2^(B*k) z^phi(e)``.  The packed table's top entry ``R``

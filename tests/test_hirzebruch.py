@@ -357,7 +357,8 @@ def test_pushforward_is_the_direct_cone_complement_class(n):
 def _perturbed(seed: int):
     """A projective class with one value changed, drawn from ``seed``: the
     value zeroed, ``y^k T^e`` or ``y^k (T^e - T^e')`` over a subset of the
-    point's tangent weights added, or another point's value added.  The result may or may not be a class."""
+    point's tangent weights added, or another point's value added.  The
+    result may or may not be a class."""
     from eck.hirzebruch import LocalClass
 
     rng = random.Random(seed)
@@ -382,8 +383,11 @@ def _perturbed(seed: int):
 
 @pytest.mark.parametrize("seed", range(300))
 def test_pushforward_raises_or_is_the_fold_on_perturbed_values(seed):
-    """Input that is not a class raises: either ``cone_pushforward`` raises
-    NotDivisible or ValueError, or its value is the point-by-point fold."""
+    """Input that is not a class raises: ``cone_pushforward`` either raises
+    NotDivisible or ValueError or returns the point-by-point fold, as it
+    must when the perturbed values are still a class.  Seeds 48, 151, 254,
+    273 and 292 are refused only by the decode check: there every packed
+    division succeeds."""
     cls = _perturbed(seed)
     try:
         got = cone_pushforward(cls)
